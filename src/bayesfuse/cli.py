@@ -15,7 +15,7 @@ reported number re-parses to the library's value bit for bit.
 
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
 closed form), 1 verification failure, 2 unreadable or malformed input
-file, 3 incompatible or representation-mismatched pair, 4 degenerate
+file or argument, 3 incompatible or representation-mismatched pair, 4 degenerate
 weighted product, 5 enumeration budget exceeded, 6 smoothing resolution
 does not divide the window, 7 candidate mass off the joint support.
 """
@@ -28,6 +28,7 @@ import json
 import sys
 import time
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 
 from .combine import (
@@ -221,6 +222,8 @@ def cmd_loss(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.K is not None and args.K < 1:
+        raise FileFormatError(f"--K must be at least 1, got {args.K}")
     report = Report("verify")
     report.add_input("prior", args.prior)
     report.add_input("likelihood", args.likelihood)
@@ -243,17 +246,21 @@ def cmd_verify(args) -> int:
         pair = WeightedPair(prior, likelihood, weights[0], weights[1])
         report.add("w0", weights[0])
         report.add("wL", weights[1])
-        result = minimize_weighted_loss(pair, K)
-        closed_form = weighted_posterior(pair)
-    elif args.objective == "mlr":
-        result = minimize_mlr_spread(prior, likelihood, K)
-        closed_form = bayes_posterior(prior, likelihood)
+        scan = partial(minimize_weighted_loss, pair)
+        rule = partial(weighted_posterior, pair)
     else:
-        result = minimize_max_loss(prior, likelihood, K)
-        closed_form = bayes_posterior(prior, likelihood)
+        minimize = minimize_mlr_spread if args.objective == "mlr" else minimize_max_loss
+        scan = partial(minimize, prior, likelihood)
+        rule = partial(bayes_posterior, prior, likelihood)
+    started = time.perf_counter()
+    result = scan(K)
+    scan_seconds = time.perf_counter() - started
+    closed_form = rule()
     distance = linf_distance(result.argmin, closed_form)
     threshold = n / K
     report.add("evaluated_count", result.evaluated_count)
+    report.add("scan_seconds", scan_seconds)
+    report.add("points_per_second", result.evaluated_count / scan_seconds)
     report.add("min_value_bits", result.min_value)
     report.add("runner_up_bits", result.runner_up_value)
     _add_distribution(report, "argmin", result.argmin)

@@ -47,3 +47,7 @@ class UnsupportedMassError(BayesfuseError):
 
 class FileFormatError(BayesfuseError):
     """A distribution file does not follow the documented format."""
+
+
+class CrossCheckError(BayesfuseError):
+    """A brute-force search disagrees with the exhaustive event oracle."""

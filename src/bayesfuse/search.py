@@ -7,8 +7,9 @@ on each, and report the grid minimizer.  Watching the argmin converge to
 the closed form as ``K`` grows is the package's empirical check that the
 product-rule (and weighted) posteriors really are the optimizers.
 
-Enumeration is lexicographic and the reduction keeps the first minimum
-seen, so results are bit-identical no matter how the scan is chunked.
+The grid is enumerated in numpy blocks of at most ``chunk_size``
+lexicographic rows, so memory stays bounded, and the reduction keeps the
+first minimum seen, so results are bit-identical however it is chunked.
 """
 
 from __future__ import annotations
@@ -21,13 +22,19 @@ import numpy as np
 
 from .combine import WeightedPair, check_compatible, joint_support
 from .dists import DiscreteDist, normalize
-from .errors import IncompatibleError, RepresentationMismatchError, TooLargeError
-from .information import max_loss_exhaustive, weighted_max_loss_exhaustive
+from .errors import (
+    CrossCheckError,
+    IncompatibleError,
+    RepresentationMismatchError,
+    TooLargeError,
+)
+from .information import weighted_max_loss_exhaustive
 
 EVALUATION_BUDGET = 10**8
 
 _CROSS_CHECK_MAX_ATOMS = 12
 _CROSS_CHECK_TOL = 1e-12
+_CHUNK_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -64,13 +71,35 @@ class SearchResult:
             raise ValueError("no candidates were evaluated")
 
 
-def _compositions(n: int, K: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        yield (K,)
-        return
-    for first in range(K + 1):
-        for rest in _compositions(n - 1, K - first):
-            yield (first,) + rest
+def _composition_blocks(grid: SimplexGrid, chunk_size: int) -> Iterator[np.ndarray]:
+    """Yield the grid's integer compositions of ``K`` in lexicographic order.
+
+    Blocks are column-major, so row reductions vectorize, and hold at most
+    ``chunk_size`` rows.  Each row is unranked from its position through
+    ``sizes[p][x] = C(x+p-1, p-1)``, the compositions of ``x`` into ``p`` parts.
+    Grids over the evaluation budget raise :class:`TooLargeError`.
+    """
+    if grid.count > EVALUATION_BUDGET:
+        raise TooLargeError(
+            f"{grid.count} grid points exceed the budget of {EVALUATION_BUDGET}"
+        )
+    n, K = grid.n, grid.K
+    sizes = {2: np.arange(1, K + 2)} if n > 2 else {}
+    for p in range(3, n + 1):
+        sizes[p] = np.cumsum(sizes[p - 1])
+    for start in range(0, grid.count, chunk_size):
+        rank = np.arange(start, min(start + chunk_size, grid.count))
+        mass = np.full_like(rank, K)
+        block = np.empty((n, rank.size), dtype=rank.dtype).T
+        for p in range(n, 2, -1):
+            tail = sizes[p][mass] - rank
+            rest = np.searchsorted(sizes[p], tail)
+            block[:, n - p] = mass - rest
+            rank, mass = sizes[p][rest] - tail, rest
+        block[:, -1] = mass - rank
+        if n > 1:
+            block[:, -2] = rank
+        yield block
 
 
 def enumerate_simplex(n: int, K: int) -> Iterator[tuple[float, ...]]:
@@ -79,30 +108,30 @@ def enumerate_simplex(n: int, K: int) -> Iterator[tuple[float, ...]]:
     There are ``C(K+n-1, n-1)`` of them; requests above the evaluation
     budget of ``10**8`` raise :class:`TooLargeError`.
     """
-    grid = SimplexGrid(n, K)
-    if grid.count > EVALUATION_BUDGET:
-        raise TooLargeError(
-            f"{grid.count} grid points exceed the budget of {EVALUATION_BUDGET}"
-        )
-    for comp in _compositions(n, K):
-        yield tuple(c / K for c in comp)
+    for block in _composition_blocks(SimplexGrid(n, K), _CHUNK_SIZE):
+        yield from map(tuple, (block / K).tolist())
 
 
 def _scan(
-    n: int,
+    p0: DiscreteDist,
+    like: DiscreteDist,
     K: int,
-    evaluate_rows: Callable[[np.ndarray], np.ndarray],
-    chunk_size: int = 16384,
-) -> tuple[float, tuple[int, ...], float, int]:
-    best_value = math.inf
-    best_comp: tuple[int, ...] | None = None
-    runner_up = math.inf
-    evaluated = 0
-
-    def consume(buffer: list[tuple[int, ...]]) -> None:
-        nonlocal best_value, best_comp, runner_up, evaluated
-        rows = np.asarray(buffer, dtype=np.float64) / K
-        values = evaluate_rows(rows)
+    chunk_size: int,
+    evaluate_rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> SearchResult:
+    """Score every grid pmf on the joint support with ``evaluate_rows(rows, u, v)``."""
+    if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
+        raise RepresentationMismatchError("simplex searches take discrete inputs")
+    if not check_compatible(p0, like).compatible:
+        raise IncompatibleError("prior and likelihood are not compatible")
+    keys = joint_support(p0, like)
+    grid = SimplexGrid(len(keys), int(K))
+    p0_m, like_m = p0.as_dict(), like.as_dict()
+    u = np.array([p0_m[k] for k in keys])
+    v = np.array([like_m[k] for k in keys])
+    best_value, best_comp, runner_up, evaluated = math.inf, (), math.inf, 0
+    for block in _composition_blocks(grid, chunk_size):
+        values = evaluate_rows(block / grid.K, u, v)
         i = int(np.argmin(values))
         chunk_best = float(values[i])
         chunk_second = (
@@ -111,45 +140,11 @@ def _scan(
         evaluated += values.size
         if chunk_best < best_value:
             runner_up = min(best_value, chunk_second)
-            best_value, best_comp = chunk_best, buffer[i]
+            best_value, best_comp = chunk_best, block[i].tolist()
         else:
             runner_up = min(runner_up, chunk_best)
-
-    buffer: list[tuple[int, ...]] = []
-    for comp in _compositions(n, K):
-        buffer.append(comp)
-        if len(buffer) >= chunk_size:
-            consume(buffer)
-            buffer = []
-    if buffer:
-        consume(buffer)
-    assert best_comp is not None
-    return best_value, best_comp, runner_up, evaluated
-
-
-def _prepare(p0: DiscreteDist, like: DiscreteDist, K: int):
-    if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
-        raise RepresentationMismatchError("simplex searches take discrete inputs")
-    if not check_compatible(p0, like).compatible:
-        raise IncompatibleError("prior and likelihood are not compatible")
-    keys = joint_support(p0, like)
-    grid = SimplexGrid(len(keys), int(K))
-    if grid.count > EVALUATION_BUDGET:
-        raise TooLargeError(
-            f"{grid.count} grid points exceed the budget of {EVALUATION_BUDGET}"
-        )
-    p0_m, like_m = p0.as_dict(), like.as_dict()
-    u = np.array([p0_m[k] for k in keys])
-    v = np.array([like_m[k] for k in keys])
-    return keys, u, v, grid
-
-
-def _result(
-    keys: tuple[str, ...], K: int, scan: tuple[float, tuple[int, ...], float, int]
-) -> SearchResult:
-    value, comp, runner_up, evaluated = scan
-    argmin = normalize(zip(keys, (c / K for c in comp)))
-    return SearchResult(argmin, value, runner_up, evaluated)
+    argmin = normalize(zip(keys, (c / grid.K for c in best_comp)))
+    return SearchResult(argmin, best_value, runner_up, evaluated)
 
 
 def default_resolution(n: int) -> int:
@@ -157,56 +152,44 @@ def default_resolution(n: int) -> int:
     return 200 if n <= 3 else 60
 
 
-def minimize_max_loss(
-    p0: DiscreteDist, like: DiscreteDist, K: int, chunk_size: int = 16384
+def _minimize_loss(
+    p0: DiscreteDist, like: DiscreteDist, a: float, b: float, K: int, chunk_size: int
 ) -> SearchResult:
-    """Scan the simplex grid for the pmf with the smallest maximum information loss."""
-    keys, u, v, grid = _prepare(p0, like, K)
-    denom = u * v
+    def evaluate(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.log2((rows / (u**a * v**b)).max(axis=1))
 
-    def evaluate(rows: np.ndarray) -> np.ndarray:
-        return np.log2((rows / denom).max(axis=1))
-
-    result = _result(keys, K, _scan(grid.n, grid.K, evaluate, chunk_size))
-    if grid.n <= _CROSS_CHECK_MAX_ATOMS:
-        full = max_loss_exhaustive(result.argmin, p0, like)
-        if abs(full.value - result.min_value) > _CROSS_CHECK_TOL:
-            raise AssertionError(
-                "singleton fast path disagrees with exhaustive event enumeration"
+    result = _scan(p0, like, K, chunk_size, evaluate)
+    if len(result.argmin.atoms) <= _CROSS_CHECK_MAX_ATOMS:
+        full = weighted_max_loss_exhaustive(result.argmin, WeightedPair(p0, like, a, b))
+        margin = abs(full.value - result.min_value)
+        if margin > _CROSS_CHECK_TOL:
+            raise CrossCheckError(
+                f"singleton fast path disagrees with exhaustive events by {margin!r} bits"
             )
     return result
+
+
+def minimize_max_loss(
+    p0: DiscreteDist, like: DiscreteDist, K: int, chunk_size: int = _CHUNK_SIZE
+) -> SearchResult:
+    """Scan the simplex grid for the pmf with the smallest maximum information loss."""
+    return _minimize_loss(p0, like, 1.0, 1.0, K, chunk_size)
 
 
 def minimize_weighted_loss(
-    pair: WeightedPair, K: int, chunk_size: int = 16384
+    pair: WeightedPair, K: int, chunk_size: int = _CHUNK_SIZE
 ) -> SearchResult:
     """Grid search against the weighted maximum-loss objective."""
-    keys, u, v, grid = _prepare(pair.prior, pair.likelihood, K)
-    a, b = pair.exponents
-    denom = u**a * v**b
-
-    def evaluate(rows: np.ndarray) -> np.ndarray:
-        return np.log2((rows / denom).max(axis=1))
-
-    result = _result(keys, K, _scan(grid.n, grid.K, evaluate, chunk_size))
-    if grid.n <= _CROSS_CHECK_MAX_ATOMS:
-        full = weighted_max_loss_exhaustive(result.argmin, pair)
-        if abs(full.value - result.min_value) > _CROSS_CHECK_TOL:
-            raise AssertionError(
-                "singleton fast path disagrees with exhaustive event enumeration"
-            )
-    return result
+    return _minimize_loss(pair.prior, pair.likelihood, *pair.exponents, K, chunk_size)
 
 
 def minimize_mlr_spread(
-    p0: DiscreteDist, like: DiscreteDist, K: int, chunk_size: int = 16384
+    p0: DiscreteDist, like: DiscreteDist, K: int, chunk_size: int = _CHUNK_SIZE
 ) -> SearchResult:
     """Grid search for the pmf with the smallest likelihood-ratio spread."""
-    keys, u, v, grid = _prepare(p0, like, K)
-    denom = u * v
 
-    def evaluate(rows: np.ndarray) -> np.ndarray:
-        ratios = rows / denom
+    def evaluate(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        ratios = rows / (u * v)
         return ratios.max(axis=1) - ratios.min(axis=1)
 
-    return _result(keys, K, _scan(grid.n, grid.K, evaluate, chunk_size))
+    return _scan(p0, like, K, chunk_size, evaluate)

@@ -1,11 +1,13 @@
 """Command-line interface: reports, files, exit codes."""
 
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 
-from bayesfuse import load_distribution
+from bayesfuse import load_distribution, search
 from bayesfuse.cli import fmt17, main
 
 
@@ -219,6 +221,37 @@ class TestVerifyCommand:
     def test_weighted_objective_requires_weights(self, capsys, files):
         code, _, _ = run(capsys, "verify", files["prior"], files["like"], "--objective", "weighted")
         assert code == 2
+
+    @pytest.mark.parametrize("K", ["0", "-3"])
+    def test_resolution_below_one_exits_two(self, capsys, files, K):
+        code, out, err = run(capsys, "verify", files["prior"], files["like"], "--K", K)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --K must be at least 1")
+
+    def test_cross_check_disagreement_exits_one(self, capsys, files, monkeypatch):
+        real = search.weighted_max_loss_exhaustive
+
+        def skewed(p1, pair):
+            return dataclasses.replace(real(p1, pair), value=5.0, attained=False)
+
+        monkeypatch.setattr(search, "weighted_max_loss_exhaustive", skewed)
+        code, out, err = run(capsys, "verify", files["prior"], files["like"], "--K", "20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: singleton fast path disagrees")
+        assert re.search(r"by [\d.e+-]+ bits", err)
+
+    def test_report_carries_scan_throughput(self, capsys, files):
+        code, out, _ = run(capsys, "verify", files["prior"], files["like"], "--K", "50")
+        assert code == 0
+        keys = [line.split(" = ", 1)[0] for line in out.splitlines()]
+        at = keys.index("evaluated_count")
+        assert keys[at + 1 : at + 3] == ["scan_seconds", "points_per_second"]
+        seconds = float(report_value(out, "scan_seconds"))
+        rate = float(report_value(out, "points_per_second"))
+        assert seconds > 0.0
+        assert rate == pytest.approx(51 / seconds)
 
 
 class TestSmoothCommand:

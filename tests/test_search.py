@@ -1,10 +1,14 @@
 """Brute-force simplex scans and their convergence to the closed forms."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesfuse import (
+    CrossCheckError,
     DiscreteDist,
     IncompatibleError,
     SimplexGrid,
@@ -21,10 +25,56 @@ from bayesfuse import (
     normalize,
     weighted_posterior,
 )
+from bayesfuse import search
 from conftest import random_pair
 
 TWO_ATOM_PRIOR = DiscreteDist((("0", 0.5), ("1", 0.5)))
 TWO_ATOM_LIKE = DiscreteDist((("0", 0.8), ("1", 0.2)))
+
+
+def reference_compositions(n, K):
+    """Every composition of ``K`` into ``n`` parts, lexicographically, in plain Python."""
+    if n == 1:
+        return [(K,)]
+    return [
+        (first,) + rest
+        for first in range(K + 1)
+        for rest in reference_compositions(n - 1, K - first)
+    ]
+
+
+class TestCompositionBlocks:
+    @settings(deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        K=st.integers(1, 12),
+        chunk_size=st.integers(1, 50),
+    )
+    def test_blocks_concatenate_to_the_reference(self, n, K, chunk_size):
+        blocks = list(search._composition_blocks(SimplexGrid(n, K), chunk_size))
+        assert all(0 < len(block) <= chunk_size for block in blocks)
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert rows == reference_compositions(n, K)
+        assert rows == sorted(rows)
+        assert all(sum(row) == K for row in rows)
+
+    def test_evaluate_rows_never_sees_more_than_a_chunk(self):
+        uniform = normalize([(k, 1.0) for k in range(4)])
+        seen = []
+
+        def evaluate(rows, u, v):
+            seen.append(rows.shape)
+            return rows[:, 0]
+
+        result = search._scan(uniform, uniform, 20, 100, evaluate)
+        assert max(shape[0] for shape in seen) == 100
+        assert all(shape[1] == 4 for shape in seen)
+        assert sum(shape[0] for shape in seen) == SimplexGrid(4, 20).count
+        assert result.evaluated_count == SimplexGrid(4, 20).count
+
+    def test_enumerate_simplex_is_the_reference_over_K(self):
+        expected = [tuple(c / 9 for c in comp) for comp in reference_compositions(4, 9)]
+        assert list(enumerate_simplex(4, 9)) == expected
 
 
 class TestEnumeration:
@@ -105,6 +155,16 @@ class TestMinimizeMaxLoss:
         big = normalize([(k, 1.0) for k in range(8)])
         with pytest.raises(TooLargeError):
             minimize_max_loss(big, big, 1000)
+
+    def test_cross_check_disagreement_raises(self, monkeypatch):
+        real = search.weighted_max_loss_exhaustive
+
+        def skewed(p1, pair):
+            return dataclasses.replace(real(p1, pair), value=2.0, attained=False)
+
+        monkeypatch.setattr(search, "weighted_max_loss_exhaustive", skewed)
+        with pytest.raises(CrossCheckError, match=r"disagrees .* by [\d.e+-]+ bits"):
+            minimize_max_loss(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 20)
 
     def test_chunking_does_not_change_the_result(self):
         uniform = normalize([(k, 1.0) for k in range(3)])
