@@ -11,7 +11,8 @@ Subcommands::
 
 Reports are line-oriented ``key = value`` text, or a JSON object with
 ``--json``.  Scalars are serialized at 17 significant digits so every
-reported number re-parses to the library's value bit for bit.
+reported number re-parses to the library's value bit for bit; in JSON,
+non-finite values are the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
 closed form), 1 verification failure, 2 unreadable or malformed input
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from decimal import Decimal
@@ -94,6 +96,13 @@ def fmt17(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """JSON has no infinities or NaN; report them as "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return fmt17(value)
+    return value
+
+
 class Report:
     """Ordered key/value collector emitted as text lines or one JSON object."""
 
@@ -113,7 +122,7 @@ class Report:
         stream = stream or sys.stdout
         elapsed = time.perf_counter() - self.started
         if as_json:
-            payload = {key: value for key, value in self.items}
+            payload = {key: _json_value(value) for key, value in self.items}
             payload["elapsed_seconds"] = elapsed
             json.dump(payload, stream, indent=2)
             stream.write("\n")
@@ -274,6 +283,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_smooth(args) -> int:
+    for flag, value in (("--epsilon", args.epsilon), ("--delta", args.delta)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise FileFormatError(f"{flag} must be positive, got {value}")
+    if args.cells is not None and args.cells < 1:
+        raise FileFormatError(f"--cells must be at least 1, got {args.cells}")
     report = Report("smooth")
     report.add_input("input", args.input)
     dist = _load(args.input)

@@ -17,8 +17,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from itertools import compress
+from typing import NamedTuple
 
-from .dists import DiscreteDist, Distribution, GridDensity, canonical_key, normalize
+import numpy as np
+
+from .dists import (
+    DiscreteDist,
+    Distribution,
+    GridDensity,
+    _unit_mass,
+    canonical_key,
+    normalize,
+)
 from .errors import (
     DegenerateProductError,
     IncompatibleError,
@@ -74,14 +85,75 @@ def require_same_representation(a: Distribution, b: Distribution) -> None:
         )
 
 
+class _Aligned(NamedTuple):
+    """A prior and a likelihood aligned on their joint support.
+
+    ``labels`` are atom keys, or cell indices as an integer array.  ``u``,
+    ``v`` and each array in ``q`` (one per candidate) hold raw masses or
+    densities on the labels, so cell masses are ``scale`` times them.
+    ``strays`` lists, per candidate, the labels off the joint support where
+    it is positive, sorted (atom keys as text, cells by index).
+    """
+
+    labels: tuple[str, ...] | np.ndarray
+    scale: float
+    u: np.ndarray
+    v: np.ndarray
+    q: tuple[np.ndarray, ...]
+    strays: tuple[list, ...]
+
+    @property
+    def overlap(self) -> float:
+        return self.scale * math.fsum((self.u * self.v).tolist())
+
+    def require_compatible(self) -> "_Aligned":
+        overlap = self.overlap
+        if not 0.0 < overlap < math.inf:
+            raise IncompatibleError(
+                f"prior and likelihood are not compatible (overlap mass {overlap!r})"
+            )
+        return self
+
+
+def _align(p0: Distribution, like: Distribution, *candidates: Distribution) -> _Aligned:
+    """Align the pair and any candidates on the joint support.
+
+    The joint support is where the float product of the two masses (or
+    densities) is positive; the overlap is the cell-mass sum of that product.
+    """
+    require_same_representation(p0, like)
+    for candidate in candidates:
+        require_same_representation(candidate, p0)
+    if isinstance(p0, DiscreteDist):
+        keys = p0.keys
+
+        def on_keys(dist: DiscreteDist) -> np.ndarray:
+            table = dist.as_dict()
+            return np.array([table.get(key, 0.0) for key in keys])
+
+        u, v = np.array(p0.masses), on_keys(like)
+        joint = u * v > 0.0
+        labels = tuple(compress(keys, joint.tolist()))
+        inside = set(labels)
+        scale = 1.0
+        q = tuple(on_keys(c)[joint] for c in candidates)
+        strays = tuple(
+            sorted(k for k, m in c.atoms if m > 0.0 and k not in inside) for c in candidates
+        )
+    else:
+        u, v = np.array(p0.densities), np.array(like.densities)
+        joint = u * v > 0.0
+        labels = np.flatnonzero(joint)
+        scale = p0.delta
+        rows = [np.array(c.densities) for c in candidates]
+        q = tuple(row[joint] for row in rows)
+        strays = tuple(np.flatnonzero((row > 0.0) & ~joint).tolist() for row in rows)
+    return _Aligned(labels, scale, u[joint], v[joint], q, strays)
+
+
 def joint_support(p0: DiscreteDist, like: DiscreteDist) -> tuple[str, ...]:
-    """Atom keys where both the prior and the likelihood are positive."""
-    like_masses = like.as_dict()
-    return tuple(
-        key
-        for key, mass in p0.atoms
-        if mass > 0.0 and like_masses.get(key, 0.0) > 0.0
-    )
+    """Atom keys where the product of the prior and likelihood masses is positive."""
+    return _align(p0, like).labels
 
 
 def check_compatible(p0: Distribution, like: Distribution) -> CompatibilityReport:
@@ -90,38 +162,26 @@ def check_compatible(p0: Distribution, like: Distribution) -> CompatibilityRepor
     The pair is compatible exactly when the overlap is positive and finite;
     conflation is only defined for compatible pairs.
     """
-    require_same_representation(p0, like)
+    overlap = _align(p0, like).overlap
+    return CompatibilityReport(compatible=0.0 < overlap < math.inf, overlap_mass=overlap)
+
+
+def _product(p0: Distribution, aligned: _Aligned, a: float, b: float) -> Distribution:
+    """The normalized product ``p0**a * pL**b`` on the joint support."""
+    values = [x**a * y**b for x, y in zip(aligned.u.tolist(), aligned.v.tolist())]
+    total = aligned.scale * math.fsum(values)
+    if not 0.0 < total < math.inf:
+        raise DegenerateProductError(f"weighted product has total mass {total!r}")
     if isinstance(p0, DiscreteDist):
-        like_masses = like.as_dict()
-        overlap = math.fsum(
-            mass * like_masses.get(key, 0.0) for key, mass in p0.atoms
-        )
-    else:
-        overlap = p0.delta * math.fsum(
-            f0 * fl for f0, fl in zip(p0.densities, like.densities)
-        )
-    return CompatibilityReport(
-        compatible=0.0 < overlap < math.inf, overlap_mass=overlap
-    )
+        return _unit_mass(aligned.labels, values)
+    densities = np.zeros(p0.n_cells)
+    densities[aligned.labels] = values
+    return GridDensity(p0.origin, p0.delta, tuple((densities / total).tolist()))
 
 
 def bayes_posterior(p0: Distribution, like: Distribution) -> Distribution:
     """Posterior proportional to the pointwise prior-likelihood product."""
-    report = check_compatible(p0, like)
-    if not report.compatible:
-        raise IncompatibleError(
-            f"prior and likelihood are not compatible (overlap mass {report.overlap_mass!r})"
-        )
-    if isinstance(p0, DiscreteDist):
-        like_masses = like.as_dict()
-        raw = [
-            (key, mass * like_masses[key])
-            for key, mass in p0.atoms
-            if mass > 0.0 and like_masses.get(key, 0.0) > 0.0
-        ]
-        return normalize(raw)
-    products = [f0 * fl for f0, fl in zip(p0.densities, like.densities)]
-    return GridDensity.from_values(p0.origin, p0.delta, products)
+    return _product(p0, _align(p0, like).require_compatible(), 1.0, 1.0)
 
 
 def weighted_posterior(pair: WeightedPair) -> Distribution:
@@ -131,29 +191,7 @@ def weighted_posterior(pair: WeightedPair) -> Distribution:
     with :func:`bayes_posterior`.  Raises :class:`DegenerateProductError`
     when the weighted product has zero or infinite total mass.
     """
-    a, b = pair.exponents
-    p0, like = pair.prior, pair.likelihood
-    if isinstance(p0, DiscreteDist):
-        like_masses = like.as_dict()
-        raw = []
-        for key, mass in p0.atoms:
-            other = like_masses.get(key, 0.0)
-            if mass > 0.0 and other > 0.0:
-                raw.append((key, mass**a * other**b))
-        total = math.fsum(value for _, value in raw)
-        if not raw or total == 0.0 or not math.isfinite(total):
-            raise DegenerateProductError(
-                f"weighted product has total mass {total if raw else 0.0!r}"
-            )
-        return normalize(raw)
-    values = [
-        f0**a * fl**b if f0 > 0.0 and fl > 0.0 else 0.0
-        for f0, fl in zip(p0.densities, like.densities)
-    ]
-    total = p0.delta * math.fsum(values)
-    if total == 0.0 or not math.isfinite(total):
-        raise DegenerateProductError(f"weighted product has total mass {total!r}")
-    return GridDensity(p0.origin, p0.delta, tuple(v / total for v in values))
+    return _product(pair.prior, _align(pair.prior, pair.likelihood), *pair.exponents)
 
 
 def linear_pool(p0: Distribution, like: Distribution) -> Distribution:
@@ -204,24 +242,8 @@ def proportionality_check(
     Tested in cross-multiplied form, ``|p*(a) w(b) - p*(b) w(a)| <= tol``
     with ``w = p0 * pL``, over all pairs drawn from the joint support.
     """
-    require_same_representation(pstar, p0)
-    report = check_compatible(p0, like)
-    if not report.compatible:
-        raise IncompatibleError("prior and likelihood are not compatible")
-    if isinstance(p0, DiscreteDist):
-        star_masses = pstar.as_dict()
-        like_masses = like.as_dict()
-        entries = [
-            (star_masses.get(key, 0.0), mass * like_masses[key])
-            for key, mass in p0.atoms
-            if mass > 0.0 and like_masses.get(key, 0.0) > 0.0
-        ]
-    else:
-        entries = [
-            (f1, f0 * fl)
-            for f1, f0, fl in zip(pstar.densities, p0.densities, like.densities)
-            if f0 * fl > 0.0
-        ]
+    aligned = _align(p0, like, pstar).require_compatible()
+    entries = list(zip(aligned.q[0].tolist(), (aligned.u * aligned.v).tolist()))
     for i, (star_a, w_a) in enumerate(entries):
         for star_b, w_b in entries[i + 1 :]:
             if abs(star_a * w_b - star_b * w_a) > tol:

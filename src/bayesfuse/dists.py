@@ -176,7 +176,12 @@ def normalize(raw: Iterable[tuple[float | int | str, float]]) -> DiscreteDist:
     if not merged:
         raise ValueError("no atoms given")
     keys = sorted(merged, key=Decimal)
-    masses = [math.fsum(merged[k]) for k in keys]
+    return _unit_mass(keys, [math.fsum(merged[k]) for k in keys])
+
+
+def _unit_mass(keys: Iterable[str], masses: list[float]) -> DiscreteDist:
+    """The scaling tail of :func:`normalize`, for canonical keys already in
+    ascending order with finite nonnegative masses."""
     total = math.fsum(masses)
     if total == 0.0:
         raise AllZeroMassError("all masses are zero")

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import WeightedPair, check_compatible, require_same_representation
+from .combine import WeightedPair, _align
 from .dists import DiscreteDist, Distribution, GridDensity
 from .errors import (
     DegenerateProductError,
-    IncompatibleError,
     InvalidEventError,
     RepresentationMismatchError,
     TooLargeError,
@@ -131,38 +130,13 @@ def weighted_combined_info(pair: WeightedPair, event: Event) -> float:
 
 
 def _loss_inputs(p1: Distribution, p0: Distribution, like: Distribution):
-    """Joint-support labels, per-point masses, and P1 atoms straying off it."""
-    require_same_representation(p0, like)
-    require_same_representation(p1, p0)
-    if isinstance(p0, DiscreteDist):
-        p0_m, like_m, p1_m = p0.as_dict(), like.as_dict(), p1.as_dict()
-        labels = [
-            k for k, m in p0.atoms if m > 0.0 and like_m.get(k, 0.0) > 0.0
-        ]
-        u = [p0_m[k] for k in labels]
-        v = [like_m[k] for k in labels]
-        q = [p1_m.get(k, 0.0) for k in labels]
-        joint = set(labels)
-        strays = sorted(
-            str(k) for k, m in p1.atoms if m > 0.0 and k not in joint
-        )
-    else:
-        labels = [
-            i
-            for i in range(p0.n_cells)
-            if p0.densities[i] > 0.0 and like.densities[i] > 0.0
-        ]
-        delta = p0.delta
-        u = [delta * p0.densities[i] for i in labels]
-        v = [delta * like.densities[i] for i in labels]
-        q = [delta * p1.densities[i] for i in labels]
-        joint = set(labels)
-        strays = sorted(
-            i
-            for i in range(p1.n_cells)
-            if p1.densities[i] > 0.0 and i not in joint
-        )
-    return labels, u, v, q, strays
+    """Joint-support labels, the three cell masses there, and P1's strays."""
+    aligned = _align(p0, like, p1).require_compatible()
+    labels = aligned.labels
+    if isinstance(labels, np.ndarray):
+        labels = labels.tolist()
+    u, v, q = ((aligned.scale * x).tolist() for x in (aligned.u, aligned.v, aligned.q[0]))
+    return labels, u, v, q, aligned.strays[0]
 
 
 def _tie_break_order(labels):
@@ -182,15 +156,9 @@ def _weighted_bound(u, v, a: float, b: float) -> float:
     return -math.log2(normalizer)
 
 
-def _require_compatible(p0: Distribution, like: Distribution) -> None:
-    if not check_compatible(p0, like).compatible:
-        raise IncompatibleError("prior and likelihood are not compatible")
-
-
 def _singleton_max_loss(
     p1: Distribution, p0: Distribution, like: Distribution, a: float, b: float
 ) -> LossReport:
-    _require_compatible(p0, like)
     labels, u, v, q, strays = _loss_inputs(p1, p0, like)
     lower_bound = _weighted_bound(u, v, a, b)
     if strays:
@@ -247,7 +215,6 @@ def _exhaustive_max_loss(
 ) -> LossReport:
     if isinstance(p0, GridDensity) or isinstance(p1, GridDensity):
         raise RepresentationMismatchError("exhaustive enumeration is defined for discrete inputs")
-    _require_compatible(p0, like)
     labels, u, v, q, strays = _loss_inputs(p1, p0, like)
     n = len(labels)
     if n > EXHAUSTIVE_MAX_ATOMS:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .combine import check_compatible, require_same_representation
-from .dists import DiscreteDist, Distribution
-from .errors import IncompatibleError, UnsupportedMassError
+from .combine import _align
+from .dists import Distribution
+from .errors import UnsupportedMassError
 
 
 @dataclass(frozen=True)
@@ -45,44 +45,13 @@ def ratio_profile(
     the product is zero, and :class:`IncompatibleError` when the pair has
     no overlap at all.
     """
-    require_same_representation(p0, like)
-    require_same_representation(candidate, p0)
-    if not check_compatible(p0, like).compatible:
-        raise IncompatibleError("prior and likelihood are not compatible")
-    entries: list[tuple[str, float]] = []
-    if isinstance(p0, DiscreteDist):
-        p0_m, like_m, cand_m = p0.as_dict(), like.as_dict(), candidate.as_dict()
-        joint = {
-            k for k, m in p0.atoms if m > 0.0 and like_m.get(k, 0.0) > 0.0
-        }
-        strays = sorted(k for k, m in candidate.atoms if m > 0.0 and k not in joint)
-        if strays:
-            raise UnsupportedMassError(
-                f"candidate has mass off the joint support at {strays!r}"
-            )
-        for key in p0.keys:
-            if key in joint:
-                entries.append((key, cand_m.get(key, 0.0) / (p0_m[key] * like_m[key])))
-    else:
-        joint = {
-            i
-            for i in range(p0.n_cells)
-            if p0.densities[i] > 0.0 and like.densities[i] > 0.0
-        }
-        strays = sorted(
-            i
-            for i in range(candidate.n_cells)
-            if candidate.densities[i] > 0.0 and i not in joint
-        )
-        if strays:
-            raise UnsupportedMassError(
-                f"candidate has density off the joint support in cells {strays!r}"
-            )
-        for i in sorted(joint):
-            ratio = candidate.densities[i] / (p0.densities[i] * like.densities[i])
-            entries.append((str(i), ratio))
-    ratios = [r for _, r in entries]
-    return RatioProfile(tuple(entries), max(ratios) - min(ratios))
+    aligned = _align(p0, like, candidate).require_compatible()
+    strays = aligned.strays[0]
+    if strays:
+        raise UnsupportedMassError(f"candidate has mass off the joint support at {strays!r}")
+    ratios = (aligned.q[0] / (aligned.u * aligned.v)).tolist()
+    entries = tuple(zip(map(str, aligned.labels), ratios))
+    return RatioProfile(entries, max(ratios) - min(ratios))
 
 
 def mlr_spread(candidate: Distribution, p0: Distribution, like: Distribution) -> float:

@@ -20,11 +20,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .combine import WeightedPair, check_compatible, joint_support
-from .dists import DiscreteDist, normalize
+from .combine import WeightedPair, _align
+from .dists import DiscreteDist, _unit_mass
 from .errors import (
     CrossCheckError,
-    IncompatibleError,
     RepresentationMismatchError,
     TooLargeError,
 )
@@ -122,13 +121,9 @@ def _scan(
     """Score every grid pmf on the joint support with ``evaluate_rows(rows, u, v)``."""
     if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
         raise RepresentationMismatchError("simplex searches take discrete inputs")
-    if not check_compatible(p0, like).compatible:
-        raise IncompatibleError("prior and likelihood are not compatible")
-    keys = joint_support(p0, like)
+    aligned = _align(p0, like).require_compatible()
+    keys, u, v = aligned.labels, aligned.u, aligned.v
     grid = SimplexGrid(len(keys), int(K))
-    p0_m, like_m = p0.as_dict(), like.as_dict()
-    u = np.array([p0_m[k] for k in keys])
-    v = np.array([like_m[k] for k in keys])
     best_value, best_comp, runner_up, evaluated = math.inf, (), math.inf, 0
     for block in _composition_blocks(grid, chunk_size):
         values = evaluate_rows(block / grid.K, u, v)
@@ -143,7 +138,7 @@ def _scan(
             best_value, best_comp = chunk_best, block[i].tolist()
         else:
             runner_up = min(runner_up, chunk_best)
-    argmin = normalize(zip(keys, (c / grid.K for c in best_comp)))
+    argmin = _unit_mass(keys, [c / grid.K for c in best_comp])
     return SearchResult(argmin, best_value, runner_up, evaluated)
 
 

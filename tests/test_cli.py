@@ -180,6 +180,20 @@ class TestLossCommand:
         assert report_value(out, "objective") == "weighted"
         assert report_value(out, "attained") == "true"
 
+    def test_json_report_encodes_infinite_loss_as_a_string(self, capsys, files):
+        stray = files["write"](
+            "stray.json", {"kind": "discrete", "atoms": [["0", 0.5], ["9", 0.5]]}
+        )
+        code, out, _ = run(capsys, "loss", stray, files["prior"], files["like"], "--json")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"bare {constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["value_bits"] == "inf"
+        assert payload["lower_bound_bits"] == 1.0
+
     def test_incompatible_exits_three(self, capsys, files):
         code, _, _ = run(capsys, "loss", files["prior"], files["prior"], files["far"])
         assert code == 3
@@ -274,6 +288,19 @@ class TestSmoothCommand:
         )
         assert code == 6
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--epsilon", "-1"), ("--epsilon", "nan"), ("--delta", "-0.1"), ("--cells", "0")],
+    )
+    def test_out_of_range_argument_exits_two(self, capsys, files, flag, value):
+        args = {"--epsilon": "0.5", "--delta": "0.25", flag: value}
+        out_file = str(files["tmp"] / "x.json")
+        argv = [a for pair in args.items() for a in pair]
+        code, out, err = run(capsys, "smooth", files["pm0"], *argv, "--out", out_file)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be")
+
     def test_smooth_then_posterior_pipeline(self, capsys, files):
         """Disjoint point masses, once smoothed onto a shared grid with a wide
         enough window, conflate successfully."""
@@ -307,6 +334,16 @@ class TestMlrCommand:
         post = str(files["tmp"] / "post.json")
         run(capsys, "posterior", files["prior"], files["like"], "--out", post)
         code, out, _ = run(capsys, "mlr", post, files["prior"], files["like"])
+        assert code == 0
+        assert report_value(out, "spread") == "0"
+
+    def test_underflowing_product_leaves_no_zero_atom(self, capsys, files):
+        # p*p on atom "2" is 1e-400, which underflows to 0: "2" is off the joint support.
+        p = files["write"]("p.json", {"kind": "discrete", "atoms": [["1", 1.0], ["2", 1e-200]]})
+        post = str(files["tmp"] / "post.json")
+        assert run(capsys, "posterior", p, p, "--out", post)[0] == 0
+        assert load_distribution(post).atoms == (("1", 1.0),)
+        code, out, _ = run(capsys, "mlr", post, p, p)
         assert code == 0
         assert report_value(out, "spread") == "0"
 

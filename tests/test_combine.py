@@ -76,6 +76,13 @@ class TestBayesPosterior:
         post = bayes_posterior(prior, like)
         assert post.keys == ("1", "2")
 
+    def test_underflowing_product_is_off_the_joint_support(self):
+        # 1e-200 * 1e-200 underflows to 0, so atom "2" must not appear, even
+        # as a zero-mass atom, under either rule.
+        tiny = DiscreteDist((("1", 1.0), ("2", 1e-200)))
+        assert bayes_posterior(tiny, tiny).atoms == (("1", 1.0),)
+        assert weighted_posterior(WeightedPair(tiny, tiny, 3.0, 3.0)).atoms == (("1", 1.0),)
+
     def test_incompatible_raises(self):
         far = DiscreteDist((("2", 0.5), ("3", 0.5)))
         with pytest.raises(IncompatibleError):
@@ -100,7 +107,12 @@ class TestBayesPosterior:
 
 class TestWeightedPosterior:
     def test_equal_weights_collapse_to_product_rule(self, corpus):
-        for prior, like in corpus[:20]:
+        grid = (-8.0, 0.01, 1700)
+        grid_pair = (
+            discretize(DistFamily.normal(0.0, 1.0), grid),
+            discretize(DistFamily.normal(1.0, 1.5), grid),
+        )
+        for prior, like in [*corpus[:20], grid_pair]:
             bayes = bayes_posterior(prior, like)
             for w in (1.0, 7.0):
                 weighted = weighted_posterior(WeightedPair(prior, like, w, w))

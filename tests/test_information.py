@@ -4,11 +4,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesfuse import (
     DiscreteDist,
     DistFamily,
     Event,
+    GridDensity,
     IncompatibleError,
     InvalidEventError,
     LossReport,
@@ -275,3 +278,36 @@ class TestLossReportInvariants:
     def test_negative_value_is_rejected(self):
         with pytest.raises(ValueError):
             LossReport(value=-0.1, witness=Event.of("0"), lower_bound=-0.2, attained=False)
+
+
+def _cell_masses(g: GridDensity) -> DiscreteDist:
+    return DiscreteDist(tuple((str(i), g.cell_mass(i)) for i in range(g.n_cells)))
+
+
+def _three_grids(cells: int):
+    densities = st.lists(st.floats(1e-6, 1.0), min_size=cells, max_size=cells)
+    return st.tuples(densities, densities, densities)
+
+
+class TestGridIsDiscreteOnCellMasses:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        cells=st.integers(1, 12).flatmap(_three_grids),
+        delta=st.sampled_from([0.25, 0.1, 1e-3, 7.0]),
+        w0=st.floats(0.1, 10.0),
+        wL=st.floats(0.1, 10.0),
+    )
+    def test_losses_match_bit_for_bit(self, cells, delta, w0, wL):
+        """The grid functionals are the discrete ones applied to cell masses."""
+        g1, g0, gl = (GridDensity.from_values(0.0, delta, values) for values in cells)
+        d1, d0, dl = (_cell_masses(g) for g in (g1, g0, gl))
+        for grid_report, discrete_report in (
+            (max_loss(g1, g0, gl), max_loss(d1, d0, dl)),
+            (
+                weighted_max_loss(g1, WeightedPair(g0, gl, w0, wL)),
+                weighted_max_loss(d1, WeightedPair(d0, dl, w0, wL)),
+            ),
+        ):
+            assert grid_report.value == discrete_report.value
+            assert grid_report.lower_bound == discrete_report.lower_bound
+            assert grid_report.attained == discrete_report.attained
