@@ -113,10 +113,17 @@ class Report:
     def add(self, key: str, value) -> None:
         self.items.append((key, value))
 
-    def add_input(self, role: str, path: str) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    def add_input(self, role: str, path: str) -> Distribution:
+        """Read an input file once; report its path and hash, then parse those bytes."""
+        data = Path(path).read_bytes()
         self.items.append((f"{role}_file", path))
-        self.items.append((f"{role}_sha256", digest))
+        self.items.append((f"{role}_sha256", hashlib.sha256(data).hexdigest()))
+        try:
+            return load_distribution(path, data)
+        except FileFormatError:
+            raise
+        except BayesfuseError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
 
     def emit(self, as_json: bool, stream=None) -> None:
         stream = stream or sys.stdout
@@ -133,15 +140,6 @@ class Report:
                 else:
                     stream.write(f"{key} = {fmt17(value)}\n")
             stream.write(f"elapsed_seconds = {fmt17(elapsed)}\n")
-
-
-def _load(path: str) -> Distribution:
-    try:
-        return load_distribution(path)
-    except FileFormatError:
-        raise
-    except BayesfuseError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _add_distribution(report: Report, prefix: str, dist: Distribution) -> None:
@@ -168,15 +166,16 @@ def _weights(args) -> tuple[float, float] | None:
         return None
     if args.w0 is None or args.wL is None:
         raise FileFormatError("--w0 and --wL must be given together")
+    for flag, value in (("--w0", args.w0), ("--wL", args.wL)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise FileFormatError(f"{flag} must be positive, got {value}")
     return float(args.w0), float(args.wL)
 
 
 def cmd_posterior(args) -> int:
     report = Report("posterior")
-    report.add_input("prior", args.prior)
-    report.add_input("likelihood", args.likelihood)
-    prior = _load(args.prior)
-    likelihood = _load(args.likelihood)
+    prior = report.add_input("prior", args.prior)
+    likelihood = report.add_input("likelihood", args.likelihood)
     weights = _weights(args)
     compat = check_compatible(prior, likelihood)
     report.add("overlap_mass", compat.overlap_mass)
@@ -203,12 +202,9 @@ def cmd_posterior(args) -> int:
 
 def cmd_loss(args) -> int:
     report = Report("loss")
-    report.add_input("posterior", args.posterior)
-    report.add_input("prior", args.prior)
-    report.add_input("likelihood", args.likelihood)
-    posterior = _load(args.posterior)
-    prior = _load(args.prior)
-    likelihood = _load(args.likelihood)
+    posterior = report.add_input("posterior", args.posterior)
+    prior = report.add_input("prior", args.prior)
+    likelihood = report.add_input("likelihood", args.likelihood)
     weights = _weights(args)
     if weights is None:
         report.add("objective", "shannon")
@@ -234,10 +230,8 @@ def cmd_verify(args) -> int:
     if args.K is not None and args.K < 1:
         raise FileFormatError(f"--K must be at least 1, got {args.K}")
     report = Report("verify")
-    report.add_input("prior", args.prior)
-    report.add_input("likelihood", args.likelihood)
-    prior = _load(args.prior)
-    likelihood = _load(args.likelihood)
+    prior = report.add_input("prior", args.prior)
+    likelihood = report.add_input("likelihood", args.likelihood)
     if not isinstance(prior, DiscreteDist) or not isinstance(likelihood, DiscreteDist):
         raise RepresentationMismatchError("verify needs discrete inputs")
     compat = check_compatible(prior, likelihood)
@@ -286,11 +280,12 @@ def cmd_smooth(args) -> int:
     for flag, value in (("--epsilon", args.epsilon), ("--delta", args.delta)):
         if not (math.isfinite(value) and value > 0.0):
             raise FileFormatError(f"{flag} must be positive, got {value}")
+    if args.origin is not None and not math.isfinite(args.origin):
+        raise FileFormatError(f"--origin must be finite, got {args.origin}")
     if args.cells is not None and args.cells < 1:
         raise FileFormatError(f"--cells must be at least 1, got {args.cells}")
     report = Report("smooth")
-    report.add_input("input", args.input)
-    dist = _load(args.input)
+    dist = report.add_input("input", args.input)
     smoothed = smooth_uniform(
         dist,
         args.epsilon,
@@ -311,10 +306,8 @@ def cmd_smooth(args) -> int:
 
 def cmd_compat(args) -> int:
     report = Report("compat")
-    report.add_input("prior", args.prior)
-    report.add_input("likelihood", args.likelihood)
-    prior = _load(args.prior)
-    likelihood = _load(args.likelihood)
+    prior = report.add_input("prior", args.prior)
+    likelihood = report.add_input("likelihood", args.likelihood)
     result = check_compatible(prior, likelihood)
     report.add("compatible", result.compatible)
     report.add("overlap_mass", result.overlap_mass)
@@ -324,12 +317,9 @@ def cmd_compat(args) -> int:
 
 def cmd_mlr(args) -> int:
     report = Report("mlr")
-    report.add_input("candidate", args.candidate)
-    report.add_input("prior", args.prior)
-    report.add_input("likelihood", args.likelihood)
-    candidate = _load(args.candidate)
-    prior = _load(args.prior)
-    likelihood = _load(args.likelihood)
+    candidate = report.add_input("candidate", args.candidate)
+    prior = report.add_input("prior", args.prior)
+    likelihood = report.add_input("likelihood", args.likelihood)
     profile = ratio_profile(candidate, prior, likelihood)
     for key, ratio in profile.entries:
         report.add(f"ratio_{key}", ratio)

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import (
     AllZeroMassError,
@@ -65,12 +67,14 @@ def key_value(key: str) -> float:
     return float(key)
 
 
-def _check_finite_nonneg(values: Iterable[float], what: str) -> None:
-    for v in values:
+def _check_finite_nonneg(values: np.ndarray, what: str) -> None:
+    """Raise on the first entry that is not finite or is negative."""
+    bad = ~np.isfinite(values) | (values < 0.0)
+    if bad.any():
+        v = float(values[bad.argmax()])
         if not math.isfinite(v):
             raise NonFiniteError(f"{what} must be finite, got {v!r}")
-        if v < 0.0:
-            raise ValueError(f"{what} must be nonnegative, got {v!r}")
+        raise ValueError(f"{what} must be nonnegative, got {v!r}")
 
 
 def _force_unit_sum(masses: list[float]) -> list[float]:
@@ -101,7 +105,7 @@ class DiscreteDist:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ValueError("a discrete distribution needs at least one atom")
-        _check_finite_nonneg((m for _, m in self.atoms), "mass")
+        _check_finite_nonneg(np.array(self.masses, dtype=float), "mass")
         previous: Decimal | None = None
         for key, _ in self.atoms:
             if canonical_key(key) != key:
@@ -218,7 +222,7 @@ class GridDensity:
             raise ValueError(f"cell width must be positive, got {self.delta!r}")
         if not self.densities:
             raise ValueError("a grid density needs at least one cell")
-        _check_finite_nonneg(self.densities, "density")
+        _check_finite_nonneg(np.array(self.densities, dtype=float), "density")
         total = self.delta * math.fsum(self.densities)
         if abs(total - 1.0) > GRID_MASS_TOL:
             raise ValueError(f"grid integrates to {total!r}, not 1")
@@ -226,14 +230,14 @@ class GridDensity:
     @classmethod
     def from_values(cls, origin: float, delta: float, raw: Iterable[float]) -> "GridDensity":
         """Renormalize raw nonnegative cell values into a unit-mass density."""
-        values = [float(v) for v in raw]
+        values = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=float)
         _check_finite_nonneg(values, "density")
-        if not values:
+        if not values.size:
             raise ValueError("a grid density needs at least one cell")
-        total = delta * math.fsum(values)
+        total = delta * math.fsum(values.tolist())
         if total == 0.0:
             raise AllZeroMassError("all cell densities are zero")
-        return cls(origin, delta, tuple(v / total for v in values))
+        return cls(origin, delta, tuple((values / total).tolist()))
 
     @property
     def n_cells(self) -> int:
@@ -268,11 +272,49 @@ class GridDensity:
 
 Distribution = DiscreteDist | GridDensity
 
-_FAMILY_PARAMS = {
-    "geometric": ("success_prob",),
-    "normal": ("mean", "sd"),
-    "exponential": ("rate",),
-    "uniform": ("lower", "upper"),
+
+class _Family(NamedTuple):
+    """One row of the family table; functions take ``x`` then the params in order."""
+
+    params: tuple[str, ...]
+    valid: Callable[..., bool]
+    requirement: str
+    pdf: Callable[..., np.ndarray]
+    cdf: Callable[..., float]
+
+
+_FAMILIES = {
+    # Each pdf is one numpy expression on an array of positions.  Masked-off
+    # positions go through np.maximum so that p == 1 never computes
+    # 0**negative and a negative x never overflows exp.
+    "geometric": _Family(
+        ("success_prob",),
+        lambda p: 0.0 < p <= 1.0,
+        "success_prob must be in (0, 1]",
+        lambda x, p: np.where(x >= 1.0, p * (1.0 - p) ** np.maximum(x - 1.0, 0.0), 0.0),
+        lambda x, p: 0.0 if x <= 1.0 else 1.0 - (1.0 - p) ** (x - 1.0),
+    ),
+    "normal": _Family(
+        ("mean", "sd"),
+        lambda mean, sd: sd > 0.0,
+        "sd must be positive",
+        lambda x, mean, sd: np.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi)),
+        lambda x, mean, sd: 0.5 * (1.0 + math.erf((x - mean) / (sd * math.sqrt(2.0)))),
+    ),
+    "exponential": _Family(
+        ("rate",),
+        lambda rate: rate > 0.0,
+        "rate must be positive",
+        lambda x, rate: np.where(x >= 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0),
+        lambda x, rate: 0.0 if x <= 0.0 else 1.0 - math.exp(-rate * x),
+    ),
+    "uniform": _Family(
+        ("lower", "upper"),
+        lambda lower, upper: lower < upper,
+        "need lower < upper",
+        lambda x, lower, upper: np.where((lower <= x) & (x <= upper), 1.0 / (upper - lower), 0.0),
+        lambda x, lower, upper: min(1.0, max(0.0, (x - lower) / (upper - lower))),
+    ),
 }
 
 
@@ -294,24 +336,24 @@ class DistFamily:
     params: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        if self.name not in _FAMILY_PARAMS:
+        spec = _FAMILIES.get(self.name)
+        if spec is None:
             raise ValueError(f"unknown family {self.name!r}")
-        expected = _FAMILY_PARAMS[self.name]
         got = tuple(k for k, _ in self.params)
-        if got != expected:
-            raise ValueError(f"family {self.name!r} needs params {expected}, got {got}")
-        values = dict(self.params)
-        for v in values.values():
+        if got != spec.params:
+            raise ValueError(f"family {self.name!r} needs params {spec.params}, got {got}")
+        for v in self.values:
             if not math.isfinite(v):
                 raise NonFiniteError(f"family parameter is not finite: {v!r}")
-        if self.name == "geometric" and not 0.0 < values["success_prob"] <= 1.0:
-            raise ValueError("success_prob must be in (0, 1]")
-        if self.name == "normal" and values["sd"] <= 0.0:
-            raise ValueError("sd must be positive")
-        if self.name == "exponential" and values["rate"] <= 0.0:
-            raise ValueError("rate must be positive")
-        if self.name == "uniform" and values["lower"] >= values["upper"]:
-            raise ValueError("need lower < upper")
+        if not spec.valid(*self.values):
+            raise ValueError(spec.requirement)
+
+    @classmethod
+    def from_params(cls, name: str, params: Mapping[str, float]) -> "DistFamily":
+        """Build from a family name and its parameter values keyed by name, in any order."""
+        spec = _FAMILIES.get(name)
+        order = spec.params if spec and set(params) == set(spec.params) else tuple(params)
+        return cls(name, tuple((k, float(params[k])) for k in order))
 
     @classmethod
     def geometric(cls, success_prob: float) -> "DistFamily":
@@ -329,48 +371,22 @@ class DistFamily:
     def uniform(cls, lower: float, upper: float) -> "DistFamily":
         return cls("uniform", (("lower", float(lower)), ("upper", float(upper))))
 
-    def param(self, name: str) -> float:
-        return dict(self.params)[name]
+    @property
+    def values(self) -> tuple[float, ...]:
+        """Parameter values in the family's parameter order."""
+        return tuple(v for _, v in self.params)
 
-    def pdf(self, x: float) -> float:
-        if self.name == "geometric":
-            p = self.param("success_prob")
-            if x < 1.0:
-                return 0.0
-            return p * (1.0 - p) ** (x - 1.0)
-        if self.name == "normal":
-            mean, sd = self.param("mean"), self.param("sd")
-            z = (x - mean) / sd
-            return math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-        if self.name == "exponential":
-            rate = self.param("rate")
-            if x < 0.0:
-                return 0.0
-            return rate * math.exp(-rate * x)
-        lower, upper = self.param("lower"), self.param("upper")
-        return 1.0 / (upper - lower) if lower <= x <= upper else 0.0
+    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Density at ``x``: a float for a float, an array for an array."""
+        # Far in a tail, a squared z-score or rate*x may overflow to inf,
+        # where exp gives the correct 0.
+        with np.errstate(over="ignore"):
+            density = _FAMILIES[self.name].pdf(np.asarray(x, dtype=float), *self.values)
+        return float(density) if density.ndim == 0 else density
 
     def cdf(self, x: float) -> float:
         """Cumulative coverage of the family's (normalized) decay profile."""
-        if self.name == "geometric":
-            p = self.param("success_prob")
-            if x <= 1.0:
-                return 0.0
-            if p == 1.0:
-                return 1.0
-            return 1.0 - (1.0 - p) ** (x - 1.0)
-        if self.name == "normal":
-            mean, sd = self.param("mean"), self.param("sd")
-            return 0.5 * (1.0 + math.erf((x - mean) / (sd * math.sqrt(2.0))))
-        if self.name == "exponential":
-            rate = self.param("rate")
-            return 0.0 if x <= 0.0 else 1.0 - math.exp(-rate * x)
-        lower, upper = self.param("lower"), self.param("upper")
-        if x <= lower:
-            return 0.0
-        if x >= upper:
-            return 1.0
-        return (x - lower) / (upper - lower)
+        return _FAMILIES[self.name].cdf(float(x), *self.values)
 
 
 GridSpec = tuple[float, float, int]
@@ -381,10 +397,10 @@ _COVERAGE_TOL = 1e-6
 def discretize(family: DistFamily, grid: GridSpec) -> GridDensity:
     """Rasterize a named family onto a uniform grid.
 
-    Each cell takes the family density evaluated at the cell midpoint,
-    then the whole vector is renormalized to unit mass.  The grid must
-    cover at least ``1 - 1e-6`` of the family's mass, otherwise
-    :class:`InsufficientCoverageError` is raised.
+    One array call evaluates the family density at every cell midpoint
+    ``origin + (i + 0.5) * delta``; the vector is then renormalized to unit
+    mass.  The grid must cover at least ``1 - 1e-6`` of the family's mass,
+    otherwise :class:`InsufficientCoverageError` is raised.
     """
     origin, delta, count = float(grid[0]), float(grid[1]), int(grid[2])
     if delta <= 0.0 or count < 1:
@@ -394,53 +410,65 @@ def discretize(family: DistFamily, grid: GridSpec) -> GridDensity:
         raise InsufficientCoverageError(
             f"grid covers {coverage:.9f} of the {family.name} mass, need >= {1.0 - _COVERAGE_TOL}"
         )
-    raw = [family.pdf(origin + (i + 0.5) * delta) for i in range(count)]
-    return GridDensity.from_values(origin, delta, raw)
+    midpoints = origin + (np.arange(count) + 0.5) * delta
+    return GridDensity.from_values(origin, delta, family.pdf(midpoints))
 
 
 def _smoothing_cdf_discrete(dist: DiscreteDist, epsilon: float):
-    points = [(key_value(k), m) for k, m in dist.atoms]
+    thetas = [key_value(k) for k in dist.keys]
+    width = 2.0 * epsilon
 
-    def cdf(x: float) -> float:
-        acc = []
-        for theta, mass in points:
-            t = (x - (theta - epsilon)) / (2.0 * epsilon)
-            acc.append(mass * min(1.0, max(0.0, t)))
-        return math.fsum(acc)
+    def cdf(x: np.ndarray) -> np.ndarray:
+        # An atom's smoothed CDF is 0 up to theta - epsilon, then the ramp
+        # mass * t, then mass from the first edge where t reaches 1.  Ramps
+        # are added on their slices of the edges; the full masses are steps
+        # summed in one cumsum.
+        ramps = np.zeros(x.size)
+        steps = np.zeros(x.size + 1)
+        for theta, mass in zip(thetas, dist.masses):
+            lo = theta - epsilon
+            start = int(np.searchsorted(x, lo, side="right"))
+            # One edge past theta + epsilon, t >= 1 unless the cell width is
+            # below the rounding error of theta.
+            stop = int(np.searchsorted(x, theta + epsilon, side="right")) + 1
+            t = (x[start:stop] - lo) / width
+            stop = start + int(np.searchsorted(t, 1.0))
+            ramps[start:stop] += mass * t[: stop - start]
+            steps[stop] += mass
+        return ramps + np.cumsum(steps)[:-1]
 
-    lo = min(theta for theta, _ in points) - epsilon
-    hi = max(theta for theta, _ in points) + epsilon
-    return cdf, lo, hi
+    return cdf, min(thetas) - epsilon, max(thetas) + epsilon
 
 
 def _smoothing_cdf_grid(dist: GridDensity, epsilon: float):
     # Convolving a piecewise-constant density with a uniform kernel gives a
     # piecewise-linear density; its CDF is evaluated through G, the running
     # integral of the input CDF (piecewise quadratic, exact).
-    delta = dist.delta
-    n = dist.n_cells
-    cdf_nodes = [0.0]
-    for d in dist.densities:
-        cdf_nodes.append(cdf_nodes[-1] + d * delta)
-    g_nodes = [0.0]
-    for i in range(n):
-        g_nodes.append(g_nodes[-1] + cdf_nodes[i] * delta + dist.densities[i] * delta * delta / 2.0)
+    origin, delta, end = dist.origin, dist.delta, dist.end
+    densities = np.array(dist.densities, dtype=float)
+    cdf_nodes = np.concatenate(([0.0], np.cumsum(densities * delta)))
+    # G grows by cdf * delta, then by density * delta**2 / 2, in each cell;
+    # one cumsum over the interleaved terms adds them in that order.
+    terms = np.empty(2 * densities.size)
+    terms[0::2] = cdf_nodes[:-1] * delta
+    terms[1::2] = densities * delta * delta / 2.0
+    g_nodes = np.concatenate(([0.0], np.cumsum(terms)[1::2]))
     total = cdf_nodes[-1]
 
-    def integral_of_cdf(x: float) -> float:
+    def integral_of_cdf(x: np.ndarray) -> np.ndarray:
         # G(x) = integral of the input CDF from the grid origin up to x.
-        if x <= dist.origin:
-            return 0.0
-        if x >= dist.end:
-            return g_nodes[-1] + (x - dist.end) * total
-        i = min(int((x - dist.origin) / delta), n - 1)
-        dx = x - (dist.origin + i * delta)
-        return g_nodes[i] + cdf_nodes[i] * dx + dist.densities[i] * dx * dx / 2.0
+        g = np.where(x >= end, g_nodes[-1] + (x - end) * total, 0.0)
+        inside = (x > origin) & (x < end)
+        xi = x[inside]
+        i = np.minimum(((xi - origin) / delta).astype(np.intp), densities.size - 1)
+        dx = xi - (origin + i * delta)
+        g[inside] = g_nodes[i] + cdf_nodes[i] * dx + densities[i] * dx * dx / 2.0
+        return g
 
-    def cdf(x: float) -> float:
+    def cdf(x: np.ndarray) -> np.ndarray:
         return (integral_of_cdf(x + epsilon) - integral_of_cdf(x - epsilon)) / (2.0 * epsilon)
 
-    return cdf, dist.origin - epsilon, dist.end + epsilon
+    return cdf, origin - epsilon, end + epsilon
 
 
 def smooth_uniform(
@@ -454,14 +482,17 @@ def smooth_uniform(
     """Convolve a distribution with the uniform density on ``(-epsilon, epsilon)``.
 
     The exact convolution is rasterized onto a grid of cell width
-    ``delta_out`` by cell averaging, which preserves total mass.  The cell
-    width must divide ``2 * epsilon`` within ``1e-12`` so that a single
-    smoothed point mass spans a whole number of cells.
+    ``delta_out`` by cell averaging, which preserves total mass: the
+    smoothed CDF is evaluated at all ``cells + 1`` edges in one array pass
+    and differenced.  The cell width must divide ``2 * epsilon`` within
+    ``1e-12`` so that a single smoothed point mass spans a whole number of
+    cells.
 
     By default the output grid is snapped to multiples of ``delta_out``
     and spans the smoothed support.  Pass ``origin`` and ``cells`` to
     force a specific extent, e.g. to place two smoothed distributions on
-    one shared grid so they can be conflated afterwards.
+    one shared grid so they can be conflated afterwards.  A non-finite
+    ``origin`` raises :class:`ValueError`.
     """
     epsilon = float(epsilon)
     delta_out = float(delta_out)
@@ -482,16 +513,15 @@ def smooth_uniform(
         origin = math.floor(lo / delta_out + 1e-12) * delta_out
     else:
         origin = float(origin)
+        if not math.isfinite(origin):
+            raise ValueError(f"origin must be finite, got {origin!r}")
     if cells is None:
         cells = max(1, math.ceil((hi - origin) / delta_out - 1e-12))
     else:
         cells = int(cells)
         if cells < 1:
             raise ValueError("cells must be at least 1")
-    edges = [origin + j * delta_out for j in range(cells + 1)]
-    cdf_at_edges = [cdf(e) for e in edges]
-    densities = [
-        (cdf_at_edges[j + 1] - cdf_at_edges[j]) / delta_out for j in range(cells)
-    ]
-    densities = [max(0.0, d) for d in densities]
-    return GridDensity(origin, delta_out, tuple(densities))
+    densities = np.diff(cdf(origin + np.arange(cells + 1) * delta_out)) / delta_out
+    # `d > 0` also maps -0.0 and NaN to 0.0, as max(0.0, d) does.
+    densities = np.where(densities > 0.0, densities, 0.0)
+    return GridDensity(origin, delta_out, tuple(densities.tolist()))

@@ -22,13 +22,6 @@ from pathlib import Path
 from .dists import DiscreteDist, Distribution, DistFamily, GridDensity, discretize
 from .errors import BayesfuseError, FileFormatError
 
-_FAMILY_BUILDERS = {
-    "geometric": DistFamily.geometric,
-    "normal": DistFamily.normal,
-    "exponential": DistFamily.exponential,
-    "uniform": DistFamily.uniform,
-}
-
 
 def payload_to_distribution(payload) -> Distribution:
     """Turn a parsed JSON payload into a distribution value."""
@@ -48,18 +41,14 @@ def payload_to_distribution(payload) -> Distribution:
                 tuple(float(v) for v in payload["densities"]),
             )
         if kind == "family":
-            name = payload["family"]
-            builder = _FAMILY_BUILDERS.get(name)
-            if builder is None:
-                raise FileFormatError(f"unknown family {name!r}")
-            family = builder(**{k: float(v) for k, v in payload["params"].items()})
+            if not isinstance(payload.get("params"), dict):
+                raise FileFormatError("family params must be a JSON object")
+            family = DistFamily.from_params(payload["family"], payload["params"])
             grid = payload["grid"]
             return discretize(
                 family,
                 (float(grid["origin"]), float(grid["delta"]), int(grid["cells"])),
             )
-    except FileFormatError:
-        raise
     except BayesfuseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -78,15 +67,22 @@ def distribution_to_payload(dist: Distribution) -> dict:
     }
 
 
-def load_distribution(path: str | Path) -> Distribution:
+def load_distribution(path: str | Path, data: bytes | None = None) -> Distribution:
+    """Parse the distribution file at ``path``.
+
+    Pass ``data`` when the caller has already read the file, so that the
+    bytes parsed are the bytes it read (and, say, hashed); ``path`` then
+    only names the file in error messages.
+    """
+    if data is None:
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
     return payload_to_distribution(payload)
 
 

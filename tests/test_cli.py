@@ -1,8 +1,10 @@
 """Command-line interface: reports, files, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import pathlib
 import re
 
 import pytest
@@ -103,6 +105,28 @@ class TestPosteriorCommand:
         bad = files["write"]("bad.json", {"kind": "nonsense"})
         code, _, _ = run(capsys, "posterior", bad, files["like"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("posterior", "--w0", "0"),
+            ("posterior", "--wL", "-1"),
+            ("loss", "--w0", "nan"),
+            ("verify", "--wL", "inf"),
+        ],
+    )
+    def test_bad_weight_exits_two(self, capsys, files, command, flag, value):
+        inputs = [files["prior"], files["like"]]
+        if command == "loss":
+            inputs.insert(0, files["prior"])
+        if command == "verify":
+            inputs += ["--objective", "weighted"]
+        weights = {"--w0": "1", "--wL": "1", flag: value}
+        argv = [a for pair in weights.items() for a in pair]
+        code, out, err = run(capsys, command, *inputs, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be positive")
 
     def test_reports_are_reproducible_modulo_timing(self, capsys, files):
         _, first, _ = run(capsys, "posterior", files["prior"], files["like"])
@@ -290,7 +314,14 @@ class TestSmoothCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--epsilon", "-1"), ("--epsilon", "nan"), ("--delta", "-0.1"), ("--cells", "0")],
+        [
+            ("--epsilon", "-1"),
+            ("--epsilon", "nan"),
+            ("--delta", "-0.1"),
+            ("--cells", "0"),
+            ("--origin", "nan"),
+            ("--origin", "inf"),
+        ],
     )
     def test_out_of_range_argument_exits_two(self, capsys, files, flag, value):
         args = {"--epsilon": "0.5", "--delta": "0.25", flag: value}
@@ -327,6 +358,22 @@ class TestCompatCommand:
         code, out, _ = run(capsys, "compat", files["prior"], files["far"])
         assert code == 0
         assert report_value(out, "compatible") == "false"
+
+    def test_each_input_is_read_once_and_hashed_as_parsed(self, capsys, files, monkeypatch):
+        opened = []
+        real_open = pathlib.Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(str(self))
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+        code, out, _ = run(capsys, "compat", files["prior"], files["like"])
+        assert code == 0
+        assert opened == [files["prior"], files["like"]]
+        for role, path in (("prior", files["prior"]), ("likelihood", files["like"])):
+            digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+            assert report_value(out, f"{role}_sha256") == digest
 
 
 class TestMlrCommand:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesfuse import (
     AllZeroMassError,
@@ -19,6 +21,92 @@ from bayesfuse import (
     normalize,
     smooth_uniform,
 )
+from bayesfuse.dists import GRID_MASS_TOL
+
+
+def _reference_pdf(family, x):
+    """The per-cell scalar density that the array pdf replaced."""
+    values = dict(family.params)
+    if family.name == "geometric":
+        p = values["success_prob"]
+        return 0.0 if x < 1.0 else p * (1.0 - p) ** (x - 1.0)
+    if family.name == "normal":
+        mean, sd = values["mean"], values["sd"]
+        z = (x - mean) / sd
+        return math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+    if family.name == "exponential":
+        rate = values["rate"]
+        return 0.0 if x < 0.0 else rate * math.exp(-rate * x)
+    lower, upper = values["lower"], values["upper"]
+    return 1.0 / (upper - lower) if lower <= x <= upper else 0.0
+
+
+def _reference_discretize(family, grid):
+    """Per-cell scalar discretization: the midpoint density of each cell, renormalized."""
+    origin, delta, count = grid
+    raw = [_reference_pdf(family, origin + (i + 0.5) * delta) for i in range(count)]
+    total = delta * math.fsum(raw)
+    return [v / total for v in raw]
+
+
+def _reference_smoothing_cdf(dist, epsilon):
+    """The smoothed CDF as one Python function per point, with math.fsum."""
+    if isinstance(dist, DiscreteDist):
+        points = [(float(k), m) for k, m in dist.atoms]
+
+        def cdf(x):
+            acc = []
+            for theta, mass in points:
+                t = (x - (theta - epsilon)) / (2.0 * epsilon)
+                acc.append(mass * min(1.0, max(0.0, t)))
+            return math.fsum(acc)
+
+        lo = min(theta for theta, _ in points) - epsilon
+        hi = max(theta for theta, _ in points) + epsilon
+        return cdf, lo, hi
+    delta, n = dist.delta, dist.n_cells
+    cdf_nodes = [0.0]
+    for d in dist.densities:
+        cdf_nodes.append(cdf_nodes[-1] + d * delta)
+    g_nodes = [0.0]
+    for i in range(n):
+        g_nodes.append(g_nodes[-1] + cdf_nodes[i] * delta + dist.densities[i] * delta * delta / 2.0)
+    total = cdf_nodes[-1]
+
+    def integral_of_cdf(x):
+        if x <= dist.origin:
+            return 0.0
+        if x >= dist.end:
+            return g_nodes[-1] + (x - dist.end) * total
+        i = min(int((x - dist.origin) / delta), n - 1)
+        dx = x - (dist.origin + i * delta)
+        return g_nodes[i] + cdf_nodes[i] * dx + dist.densities[i] * dx * dx / 2.0
+
+    def cdf(x):
+        return (integral_of_cdf(x + epsilon) - integral_of_cdf(x - epsilon)) / (2.0 * epsilon)
+
+    return cdf, dist.origin - epsilon, dist.end + epsilon
+
+
+def _reference_smooth(dist, epsilon, delta_out):
+    """Pure-Python smoothing onto the default grid: (origin, densities)."""
+    cdf, lo, hi = _reference_smoothing_cdf(dist, epsilon)
+    origin = math.floor(lo / delta_out + 1e-12) * delta_out
+    cells = max(1, math.ceil((hi - origin) / delta_out - 1e-12))
+    at_edges = [cdf(origin + j * delta_out) for j in range(cells + 1)]
+    return origin, [max(0.0, (b - a) / delta_out) for a, b in zip(at_edges, at_edges[1:])]
+
+
+def _assert_matches_reference(dist, epsilon, delta_out):
+    sm = smooth_uniform(dist, epsilon, delta_out)
+    origin, densities = _reference_smooth(dist, epsilon, delta_out)
+    assert sm.origin == origin
+    assert sm.n_cells == len(densities)
+    masses = np.array(sm.densities) * delta_out
+    expected = np.array(densities) * delta_out
+    assert np.abs(masses - expected).max() <= 1e-13
+    assert abs(sm.total_mass() - delta_out * math.fsum(densities)) <= GRID_MASS_TOL
+    return sm.densities, tuple(densities)
 
 
 class TestCanonicalKeys:
@@ -125,6 +213,20 @@ class TestGridDensity:
         assert g.prob([0, 2]) == 0.5
         assert g.end == 1.0
 
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([1.0, math.nan, -1.0], NonFiniteError, "density must be finite, got nan"),
+            ([1.0, -1.0, math.inf], ValueError, "density must be nonnegative, got -1.0"),
+            ([math.inf, 1.0], NonFiniteError, "density must be finite, got inf"),
+        ],
+    )
+    def test_first_bad_cell_names_the_error(self, values, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            GridDensity(0.0, 1.0, tuple(values))
+        with pytest.raises(error, match=f"^{message}$"):
+            GridDensity.from_values(0.0, 1.0, values)
+
     def test_same_grid_requires_exact_match(self):
         a = GridDensity(0.0, 0.25, (1.0, 1.0, 1.0, 1.0))
         b = GridDensity(0.0, 0.25, (1.0, 1.0, 1.0, 1.0))
@@ -157,6 +259,31 @@ class TestDistFamily:
         assert fam.pdf(1.0) == 0.25
         assert fam.pdf(2.0) == pytest.approx(0.25 * 0.75, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            DistFamily.geometric(1.0),
+            DistFamily.normal(0.0, 1.0),
+            DistFamily.exponential(2.0),
+            DistFamily.uniform(0.0, 1.0),
+        ],
+    )
+    def test_pdf_of_a_float_is_a_float(self, family):
+        for x in (-1e300, -0.5, 0.5, 1.0, 2.0, 1e300):
+            value = family.pdf(x)
+            assert type(value) is float
+            assert value == pytest.approx(_reference_pdf(family, x), rel=1e-15)
+        assert family.pdf(np.array([0.5, 2.0])).shape == (2,)
+
+    def test_from_params_takes_any_order(self):
+        assert DistFamily.from_params("normal", {"sd": 2, "mean": 1}) == DistFamily.normal(1.0, 2.0)
+        with pytest.raises(ValueError, match="unknown family"):
+            DistFamily.from_params("cauchy", {})
+        with pytest.raises(ValueError, match="needs params"):
+            DistFamily.from_params("normal", {"mean": 0.0})
+        with pytest.raises(ValueError, match="needs params"):
+            DistFamily.from_params("exponential", {"rate": 1.0, "shift": 0.0})
+
 
 class TestDiscretize:
     def test_uniform_is_flat(self):
@@ -175,6 +302,26 @@ class TestDiscretize:
         assert g.densities[0] == pytest.approx(math.exp(-0.005), rel=1e-5)
         renorm = math.exp(-0.005) / g.densities[0]
         assert abs(renorm - 1.0) < 1e-5
+
+    @pytest.mark.parametrize(
+        "family, grid",
+        [
+            (DistFamily.normal(0.0, 1.0), (-8.0, 0.01, 1600)),
+            (DistFamily.normal(1e3, 0.5), (995.0, 0.001, 10000)),
+            (DistFamily.exponential(1.0), (-3.0, 0.01, 4000)),
+            (DistFamily.exponential(0.5), (0.0, 0.02, 4000)),
+            (DistFamily.geometric(0.4), (-2.0, 0.02, 3000)),
+            (DistFamily.geometric(1.0), (-1.75, 0.5, 8)),
+            (DistFamily.uniform(0.0, 1.0), (-0.5, 0.01, 200)),
+            (DistFamily.uniform(-3.0, 2.0), (-4.0, 0.1, 70)),
+        ],
+    )
+    def test_matches_the_per_cell_scalar_reference(self, family, grid):
+        """Grids that start below 0 or 1 exercise the masked branches; geometric
+        p = 1 puts all mass on the cell whose midpoint is 1."""
+        got = np.array(discretize(family, grid).densities)
+        expected = np.array(_reference_discretize(family, grid))
+        assert np.all(np.abs(got - expected) <= 1e-15 * expected)
 
     def test_insufficient_coverage(self):
         with pytest.raises(InsufficientCoverageError):
@@ -264,3 +411,48 @@ class TestSmoothUniform:
         a = DiscreteDist((("0", 1.0),))
         with pytest.raises(ValueError):
             smooth_uniform(a, 2.0, 0.25, origin=-2.0, cells=4)
+
+    @pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cells", [None, 4])
+    def test_non_finite_origin_is_rejected(self, origin, cells):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            smooth_uniform(DiscreteDist((("0", 1.0),)), 0.5, 0.25, origin=origin, cells=cells)
+
+
+_MASSES = st.floats(1e-300, 1.0)
+
+
+@st.composite
+def _discrete_inputs(draw):
+    """1-50 atoms anywhere in +-1e6, on an output grid of a few hundred cells."""
+    positions = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+    masses = draw(st.lists(_MASSES, min_size=len(positions), max_size=len(positions)))
+    span = max(positions) - min(positions)
+    delta_out = 2.0 ** math.ceil(math.log2(max(span, 1e-3) / 256))
+    epsilon = delta_out * draw(st.integers(1, 8)) / 2.0
+    return normalize(zip(positions, masses)), epsilon, delta_out
+
+
+@st.composite
+def _grid_inputs(draw):
+    """1-50 cells with origin in +-1e6; the output cell width divides 2*epsilon."""
+    values = draw(st.lists(_MASSES, min_size=1, max_size=50))
+    origin = draw(st.floats(-1e6, 1e6))
+    delta = draw(st.sampled_from([0.125, 0.1, 1.0, 7.0]))
+    delta_out = delta * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    epsilon = delta_out * draw(st.integers(1, 8)) / 2.0
+    return GridDensity.from_values(origin, delta, values), epsilon, delta_out
+
+
+class TestSmoothingMatchesTheReference:
+    @settings(deadline=None, max_examples=60)
+    @given(_discrete_inputs())
+    def test_discrete_branch(self, case):
+        _assert_matches_reference(*case)
+
+    @settings(deadline=None, max_examples=60)
+    @given(_grid_inputs())
+    def test_grid_branch(self, case):
+        """The array pass adds the same terms in the same order: bit for bit."""
+        got, expected = _assert_matches_reference(*case)
+        assert got == expected

@@ -78,6 +78,22 @@ class TestLoading:
         with pytest.raises(FileFormatError):
             load_distribution(path)
 
+    @pytest.mark.parametrize("params", [[0.0, 1.0], None, "mean=0"])
+    def test_family_params_must_be_an_object(self, tmp_path, params):
+        path = tmp_path / "p.json"
+        grid = {"origin": -8.0, "delta": 0.01, "cells": 1600}
+        path.write_text(
+            json.dumps({"kind": "family", "family": "normal", "params": params, "grid": grid})
+        )
+        with pytest.raises(FileFormatError, match="params must be a JSON object"):
+            load_distribution(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(FileFormatError):
+            load_distribution(path)
+
     def test_broken_json(self, tmp_path):
         path = tmp_path / "b.json"
         path.write_text("{nope")
