@@ -16,7 +16,8 @@ non-finite values are the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
 closed form), 1 verification failure, 2 unreadable or malformed input
-file or argument, 3 incompatible or representation-mismatched pair, 4 degenerate
+file or argument (including a forced ``smooth`` extent that misses the
+mass), 3 incompatible or representation-mismatched pair, 4 degenerate
 weighted product, 5 enumeration budget exceeded, 6 smoothing resolution
 does not divide the window, 7 candidate mass off the joint support.
 """
@@ -47,6 +48,7 @@ from .errors import (
     DegenerateProductError,
     FileFormatError,
     IncompatibleError,
+    InsufficientCoverageError,
     RepresentationMismatchError,
     TooLargeError,
     UnsupportedMassError,
@@ -78,6 +80,7 @@ EXIT_UNSUPPORTED_MASS = 7
 
 _ERROR_EXITS = (
     (FileFormatError, EXIT_PARSE),
+    (InsufficientCoverageError, EXIT_PARSE),
     (IncompatibleError, EXIT_INCOMPATIBLE),
     (RepresentationMismatchError, EXIT_INCOMPATIBLE),
     (DegenerateProductError, EXIT_DEGENERATE),

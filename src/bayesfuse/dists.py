@@ -16,6 +16,7 @@ function, so everything here is safe to share between threads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -33,6 +34,14 @@ DISCRETE_MASS_TOL = 1e-9
 GRID_MASS_TOL = 1e-6
 
 _KEY_PRECISION = 50
+# Longer ints are never plain keys, and str() refuses ints past 4300 digits.
+_INT_LIMIT = 10**_KEY_PRECISION
+# Plain ASCII decimals, -?[0-9]+(\.[0-9]+)?, in three groups: the sign, the
+# whole part without leading zeros (one digit kept) and the fraction without
+# trailing zeros.  [0-9], not \d: Decimal also reads non-ASCII digits, and
+# rewrites them.
+_PLAIN_DECIMAL = re.compile(r"(-?)0*([0-9]+?)(?:\.(?=[0-9])([0-9]*?)0*)?")
+_CANONICAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]*[1-9])?")
 
 
 def canonical_key(value: float | int | str | Decimal) -> str:
@@ -41,8 +50,29 @@ def canonical_key(value: float | int | str | Decimal) -> str:
     Canonical means: plain decimal notation (no exponent), trailing zeros
     stripped, no trailing decimal point, and never "-0".  Floats are taken
     at their shortest round-trip representation, so ``canonical_key(0.5)``
-    and ``canonical_key("0.5")`` agree.
+    and ``canonical_key("0.5")`` agree.  Positions are rounded to 50
+    significant digits.
     """
+    if isinstance(value, str):
+        text = value
+    elif isinstance(value, float):
+        text = repr(value)
+    elif isinstance(value, int) and not isinstance(value, bool) and abs(value) < _INT_LIMIT:
+        text = str(value)
+    else:
+        return _decimal_key(value)
+    # At most 50 characters hold at most 50 digits, so the Decimal path
+    # would not round: plain ASCII decimals are canonicalized as text.
+    plain = _PLAIN_DECIMAL.fullmatch(text) if len(text) <= _KEY_PRECISION else None
+    if plain:
+        sign, whole, fraction = plain.groups()
+        body = f"{whole}.{fraction}" if fraction else whole
+        return "0" if body == "0" else sign + body
+    return _decimal_key(value)
+
+
+def _decimal_key(value: float | int | str | Decimal) -> str:
+    """The reference definition of :func:`canonical_key`, through Decimal."""
     try:
         if isinstance(value, str):
             dec = Decimal(value)
@@ -60,6 +90,20 @@ def canonical_key(value: float | int | str | Decimal) -> str:
         ctx.prec = _KEY_PRECISION
         text = format(dec.normalize(), "f")
     return "0" if text == "-0" else text
+
+
+def _ascending(keys: Iterable[str]) -> list[str]:
+    """Canonical keys in increasing numeric order.
+
+    Float rounding never reverses order, so keys are sorted by ``float``
+    and re-sorted exactly only when two neighbours tie as floats (keys
+    within a float ulp, or both past the float range).
+    """
+    keys = sorted(keys, key=float)
+    values = list(map(float, keys))
+    if any(a == b for a, b in zip(values, values[1:])):
+        keys.sort(key=Decimal)
+    return keys
 
 
 def key_value(key: str) -> float:
@@ -106,14 +150,21 @@ class DiscreteDist:
         if not self.atoms:
             raise ValueError("a discrete distribution needs at least one atom")
         _check_finite_nonneg(np.array(self.masses, dtype=float), "mass")
-        previous: Decimal | None = None
+        fullmatch = _CANONICAL.fullmatch
+        previous_key, previous = None, None
         for key, _ in self.atoms:
-            if canonical_key(key) != key:
+            # The pattern accepts only canonical text; anything else gets
+            # the full test, so the accepted set is canonical_key's.
+            plain = isinstance(key, str) and len(key) <= _KEY_PRECISION and key != "-0"
+            if not (plain and fullmatch(key)) and canonical_key(key) != key:
                 raise ValueError(f"atom key is not canonical: {key!r}")
-            position = Decimal(key)
-            if previous is not None and position <= previous:
-                raise ValueError("atom keys must be strictly increasing")
-            previous = position
+            position = float(key)
+            # Float rounding never reverses order; only keys that tie as
+            # floats, such as two past the float range, need exact values.
+            if previous is not None and not position > previous:
+                if position < previous or Decimal(key) <= Decimal(previous_key):
+                    raise ValueError("atom keys must be strictly increasing")
+            previous_key, previous = key, position
         total = math.fsum(m for _, m in self.atoms)
         if abs(total - 1.0) > DISCRETE_MASS_TOL:
             raise ValueError(f"masses sum to {total!r}, not 1")
@@ -124,11 +175,7 @@ class DiscreteDist:
         merged: dict[str, list[float]] = {}
         for raw_key, mass in pairs:
             merged.setdefault(canonical_key(raw_key), []).append(float(mass))
-        atoms = sorted(
-            ((key, math.fsum(masses)) for key, masses in merged.items()),
-            key=lambda item: Decimal(item[0]),
-        )
-        return cls(tuple(atoms))
+        return cls(tuple((key, math.fsum(merged[key])) for key in _ascending(merged)))
 
     @property
     def keys(self) -> tuple[str, ...]:
@@ -179,7 +226,7 @@ def normalize(raw: Iterable[tuple[float | int | str, float]]) -> DiscreteDist:
         merged.setdefault(canonical_key(raw_key), []).append(mass)
     if not merged:
         raise ValueError("no atoms given")
-    keys = sorted(merged, key=Decimal)
+    keys = _ascending(merged)
     return _unit_mass(keys, [math.fsum(merged[k]) for k in keys])
 
 
@@ -492,7 +539,9 @@ def smooth_uniform(
     and spans the smoothed support.  Pass ``origin`` and ``cells`` to
     force a specific extent, e.g. to place two smoothed distributions on
     one shared grid so they can be conflated afterwards.  A non-finite
-    ``origin`` raises :class:`ValueError`.
+    ``origin`` raises :class:`ValueError`, and an extent that captures
+    less than ``1 - 1e-6`` of the smoothed mass raises
+    :class:`InsufficientCoverageError`.
     """
     epsilon = float(epsilon)
     delta_out = float(delta_out)
@@ -523,5 +572,11 @@ def smooth_uniform(
             raise ValueError("cells must be at least 1")
     densities = np.diff(cdf(origin + np.arange(cells + 1) * delta_out)) / delta_out
     # `d > 0` also maps -0.0 and NaN to 0.0, as max(0.0, d) does.
-    densities = np.where(densities > 0.0, densities, 0.0)
-    return GridDensity(origin, delta_out, tuple(densities.tolist()))
+    densities = np.where(densities > 0.0, densities, 0.0).tolist()
+    captured = delta_out * math.fsum(densities)
+    if abs(captured - 1.0) > GRID_MASS_TOL:
+        raise InsufficientCoverageError(
+            f"output grid captures {captured!r} of the smoothed mass,"
+            f" need 1 within {GRID_MASS_TOL}"
+        )
+    return GridDensity(origin, delta_out, tuple(densities))

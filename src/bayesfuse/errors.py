@@ -13,8 +13,8 @@ class AllZeroMassError(BayesfuseError):
     """Every mass in the input is zero, so no distribution exists."""
 
 
-class InsufficientCoverageError(BayesfuseError):
-    """The requested grid misses too much of the family's probability mass."""
+class InsufficientCoverageError(BayesfuseError, ValueError):
+    """The requested grid misses too much of the distribution's probability mass."""
 
 
 class BadResolutionError(BayesfuseError):

@@ -23,6 +23,29 @@ from .dists import DiscreteDist, Distribution, DistFamily, GridDensity, discreti
 from .errors import BayesfuseError, FileFormatError
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; strings and booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values: list, what: str) -> tuple[float, ...]:
+    """A JSON array of numbers as floats; one pass over the types clears it."""
+    if set(map(type, values)) <= {int, float}:
+        return tuple(map(float, values))
+    return tuple(_number(v, what) for v in values)
+
+
+def _atoms(atoms: list) -> zip:
+    """The (key, mass) pairs of a discrete file; keys may not be booleans."""
+    keys = [key for key, _ in atoms]
+    if bool in set(map(type, keys)):
+        bad = next(key for key in keys if isinstance(key, bool))
+        raise TypeError(f"atom key must be a JSON string or number, got {bad!r}")
+    return zip(keys, _numbers([mass for _, mass in atoms], "mass"))
+
+
 def payload_to_distribution(payload) -> Distribution:
     """Turn a parsed JSON payload into a distribution value."""
     if not isinstance(payload, dict):
@@ -30,24 +53,27 @@ def payload_to_distribution(payload) -> Distribution:
     kind = payload.get("kind")
     try:
         if kind == "discrete":
-            atoms = payload["atoms"]
-            return DiscreteDist.from_pairs(
-                (key, float(mass)) for key, mass in atoms
-            )
+            return DiscreteDist.from_pairs(_atoms(payload["atoms"]))
         if kind == "grid":
             return GridDensity(
-                float(payload["origin"]),
-                float(payload["delta"]),
-                tuple(float(v) for v in payload["densities"]),
+                _number(payload["origin"], "origin"),
+                _number(payload["delta"], "delta"),
+                _numbers(payload["densities"], "density"),
             )
         if kind == "family":
-            if not isinstance(payload.get("params"), dict):
+            params = payload.get("params")
+            if not isinstance(params, dict):
                 raise FileFormatError("family params must be a JSON object")
-            family = DistFamily.from_params(payload["family"], payload["params"])
+            family = DistFamily.from_params(
+                payload["family"], {k: _number(v, k) for k, v in params.items()}
+            )
             grid = payload["grid"]
+            cells = grid["cells"]
+            if isinstance(cells, bool) or not isinstance(cells, int):
+                raise TypeError(f"cells must be a JSON integer, got {cells!r}")
             return discretize(
                 family,
-                (float(grid["origin"]), float(grid["delta"]), int(grid["cells"])),
+                (_number(grid["origin"], "origin"), _number(grid["delta"], "delta"), cells),
             )
     except BayesfuseError:
         raise

@@ -332,6 +332,18 @@ class TestSmoothCommand:
         assert out == ""
         assert err.startswith(f"error: {flag} must be")
 
+    def test_extent_missing_the_mass_exits_two(self, capsys, files):
+        out_file = files["tmp"] / "x.json"
+        code, out, err = run(
+            capsys,
+            "smooth", files["pm0"], "--epsilon", "1", "--delta", "0.5",
+            "--origin", "100", "--cells", "4", "--out", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: output grid captures 0.0 of the smoothed mass, need 1 within 1e-06\n"
+        assert not out_file.exists()
+
     def test_smooth_then_posterior_pipeline(self, capsys, files):
         """Disjoint point masses, once smoothed onto a shared grid with a wide
         enough window, conflate successfully."""
@@ -358,6 +370,42 @@ class TestCompatCommand:
         code, out, _ = run(capsys, "compat", files["prior"], files["far"])
         assert code == 0
         assert report_value(out, "compatible") == "false"
+
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("discrete", "atoms", [[True, 1.0]],
+             "atom key must be a JSON string or number, got True"),
+            ("discrete", "atoms", [["0", "1.0"]], "mass must be a JSON number, got '1.0'"),
+            ("discrete", "atoms", [["0", True]], "mass must be a JSON number, got True"),
+            ("grid", "origin", "0", "origin must be a JSON number, got '0'"),
+            ("grid", "delta", True, "delta must be a JSON number, got True"),
+            ("grid", "densities", ["1"], "density must be a JSON number, got '1'"),
+            ("grid", "densities", [False, 1], "density must be a JSON number, got False"),
+            ("family", "params", {"lower": "0", "upper": 1},
+             "lower must be a JSON number, got '0'"),
+            ("family", "grid", {"origin": 0, "delta": 0.5, "cells": "2"},
+             "cells must be a JSON integer, got '2'"),
+        ],
+    )
+    def test_wrong_json_type_exits_two(self, capsys, files, kind, field, value, message):
+        valid = {
+            "discrete": {"kind": "discrete", "atoms": [["0", 1.0]]},
+            "grid": {"kind": "grid", "origin": 0, "delta": 1, "densities": [1]},
+            "family": {
+                "kind": "family",
+                "family": "uniform",
+                "params": {"lower": 0, "upper": 1},
+                "grid": {"origin": 0, "delta": 0.5, "cells": 2},
+            },
+        }[kind]
+        good = files["write"]("good.json", valid)
+        assert run(capsys, "compat", good, good)[0] == 0
+        bad = files["write"]("bad.json", {**valid, field: value})
+        code, out, err = run(capsys, "compat", bad, bad)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed {kind!r} distribution: {message}\n"
 
     def test_each_input_is_read_once_and_hashed_as_parsed(self, capsys, files, monkeypatch):
         opened = []

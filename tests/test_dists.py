@@ -1,10 +1,11 @@
 """Distribution construction, canonical keys, discretization, and smoothing."""
 
 import math
+from decimal import Decimal, InvalidOperation, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bayesfuse import (
@@ -109,7 +110,99 @@ def _assert_matches_reference(dist, epsilon, delta_out):
     return sm.densities, tuple(densities)
 
 
+def _reference_canonical_key(value):
+    """The Decimal definition of canonical keys, as it stood before the text fast path."""
+    try:
+        if isinstance(value, str):
+            dec = Decimal(value)
+        elif isinstance(value, float):
+            if not math.isfinite(value):
+                raise NonFiniteError(f"atom position is not finite: {value!r}")
+            dec = Decimal(repr(value))
+        else:
+            dec = Decimal(value)
+    except InvalidOperation as exc:
+        raise ValueError(f"not a decimal atom key: {value!r}") from exc
+    if not dec.is_finite():
+        raise NonFiniteError(f"atom position is not finite: {value!r}")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        text = format(dec.normalize(), "f")
+    return "0" if text == "-0" else text
+
+
+def _outcome(function, value):
+    """The result of ``function(value)``, or the type and message it raised."""
+    try:
+        return "ok", function(value)
+    except Exception as exc:  # the error itself is the value compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def _decimal_texts(draw):
+    """Decimal text at and past the edges of the plain-text fast path.
+
+    Digit runs of up to 12, 46-53 and 400+ characters, with leading and
+    trailing zeros and signs, dressed in what Decimal also reads: exponents,
+    whitespace, ``+``, ``_``, non-ASCII digits and a bare ``.``.
+    """
+    size = draw(st.integers(1, 12) | st.integers(46, 53) | st.integers(400, 420))
+    text = draw(st.text(st.sampled_from("00123456789"), min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, size - 1))
+        text = f"{text[:cut]}.{text[cut:]}"
+    sign = draw(st.sampled_from(["", "-", "+", "-00"]))
+    text = sign + text + draw(st.sampled_from(["", "0", "000"]))
+    dressing = draw(st.sampled_from(["", "exponent", "space", "underscore", "non-ascii", "dot"]))
+    if dressing == "exponent":
+        text += draw(st.sampled_from(["e5", "E-3", "e+0", "e-60", "e400"]))
+    elif dressing == "space":
+        text = draw(st.sampled_from([" ", "\t", ""])) + text + draw(st.sampled_from([" ", "\n"]))
+    elif dressing == "underscore":
+        cut = draw(st.integers(1, len(text)))
+        text = f"{text[:cut]}_{text[cut:]}"
+    elif dressing == "non-ascii":
+        zero = draw(st.sampled_from(["\u0660", "\uff10", "\u0966"]))
+        text = "".join(
+            chr(ord(zero) + int(c)) if c.isdigit() and draw(st.booleans()) else c for c in text
+        )
+    elif dressing == "dot":
+        text = draw(st.sampled_from([f".{text}", f"{text}."]))
+    return text
+
+
+_KEY_INPUTS = (
+    _decimal_texts()
+    | st.floats()
+    | st.integers(-(10**60), 10**60)
+    | st.booleans()
+)
+
+
 class TestCanonicalKeys:
+    @settings(deadline=None, max_examples=400)
+    @given(_KEY_INPUTS)
+    @example("-0").via("the one canonical text with a sign the pattern allows")
+    @example(-(10**5000)).via("an int too long for str()")
+    def test_matches_the_decimal_reference(self, value):
+        assert _outcome(canonical_key, value) == _outcome(_reference_canonical_key, value)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_KEY_INPUTS)
+    @example("-0").via("the one canonical text with a sign the pattern allows")
+    @example("1" * 51).via("canonical text too long to be a key")
+    def test_discrete_dist_accepts_exactly_the_canonical_keys(self, key):
+        got = _outcome(lambda k: DiscreteDist(((k, 1.0),)).keys, key)
+        expected = _outcome(_reference_canonical_key, key)
+        if expected == ("ok", key):
+            assert got == ("ok", (key,))
+        elif expected[0] == "ok":
+            assert got == (ValueError, f"atom key is not canonical: {key!r}")
+        else:
+            assert got == expected
+
+
     def test_trailing_zeros_stripped(self):
         assert canonical_key("0.50") == "0.5"
         assert canonical_key("2.000") == "2"
@@ -161,6 +254,35 @@ class TestDiscreteDist:
     def test_from_pairs_merges_duplicate_positions(self):
         d = DiscreteDist.from_pairs([("0.5", 0.25), (0.5, 0.25), (1, 0.5)])
         assert d.atoms == (("0.5", 0.5), ("1", 0.5))
+
+
+_FLOAT_TIES = [
+    ("0.1", "0.10000000000000000001"),
+    ("-0.10000000000000000001", "-0.1"),
+    ("1" + "0" * 400, "2" + "0" * 400),
+    ("-2" + "0" * 400, "-1" + "0" * 400),
+    ("0." + "0" * 400 + "1", "0." + "0" * 400 + "2"),
+]
+
+
+class TestKeysThatTieAsFloats:
+    """Keys within a float ulp, or past the float range, order by exact value."""
+
+    @pytest.mark.parametrize("low, high", _FLOAT_TIES)
+    def test_from_pairs_and_normalize_order_exactly(self, low, high):
+        assert float(low) == float(high)
+        pairs = [("3", 0.25), (high, 0.25), ("-3", 0.25), (low, 0.25)]
+        expected = tuple(sorted(("3", high, "-3", low), key=Decimal))
+        assert DiscreteDist.from_pairs(pairs).keys == expected
+        assert normalize(pairs).keys == expected
+
+    @pytest.mark.parametrize("low, high", _FLOAT_TIES)
+    def test_reverse_order_is_rejected(self, low, high):
+        assert DiscreteDist(((low, 0.5), (high, 0.5))).keys == (low, high)
+        with pytest.raises(ValueError, match="^atom keys must be strictly increasing$"):
+            DiscreteDist(((high, 0.5), (low, 0.5)))
+        with pytest.raises(ValueError, match="^atom keys must be strictly increasing$"):
+            DiscreteDist(((high, 0.5), (high, 0.5)))
 
 
 class TestNormalize:
@@ -411,6 +533,12 @@ class TestSmoothUniform:
         a = DiscreteDist((("0", 1.0),))
         with pytest.raises(ValueError):
             smooth_uniform(a, 2.0, 0.25, origin=-2.0, cells=4)
+
+    @pytest.mark.parametrize("origin, captured", [(-2.0, "0.5"), (100.0, "0.0")])
+    def test_forced_extent_reports_the_captured_mass(self, origin, captured):
+        a = DiscreteDist((("0", 1.0),))
+        with pytest.raises(InsufficientCoverageError, match=f"^output grid captures {captured} of"):
+            smooth_uniform(a, 2.0, 0.25, origin=origin, cells=8)
 
     @pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cells", [None, 4])

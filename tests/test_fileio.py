@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bayesfuse import dists
 from bayesfuse import (
     DiscreteDist,
     DistFamily,
@@ -44,6 +45,18 @@ class TestLoading:
         path.write_text(json.dumps({"kind": "discrete", "atoms": [[0.50, 0.5], ["1.0", 0.5]]}))
         loaded = load_distribution(path)
         assert loaded.keys == ("0.5", "1")
+
+    def test_plain_keys_load_without_decimal(self, tmp_path, monkeypatch):
+        """Canonical, JSON-number and trailing-zero keys take the text path."""
+
+        def refuse(*args):
+            raise AssertionError("Decimal used for a plain decimal key")
+
+        monkeypatch.setattr(dists, "Decimal", refuse)
+        atoms = [["-1.5", 0.2], [2, 0.2], [0.75, 0.2], ["12.500", 0.2], ["-0.0", 0.2]]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"kind": "discrete", "atoms": atoms}))
+        assert load_distribution(path).keys == ("-1.5", "0", "0.75", "2", "12.5")
 
     def test_family_file_discretizes_onto_its_grid(self, tmp_path):
         path = tmp_path / "f.json"
