@@ -1,119 +1,86 @@
 """Combine prior and likelihood distributions into posteriors that minimize
-Shannon-information loss, and verify the optimality claims by brute force."""
+Shannon-information loss, and verify the optimality claims by brute force.
 
-from .combine import (
-    CompatibilityReport,
-    WeightedPair,
-    averaged_data_pool,
-    bayes_posterior,
-    check_compatible,
-    joint_support,
-    linear_pool,
-    proportionality_check,
-    weighted_posterior,
-)
-from .dists import (
-    DiscreteDist,
-    DistFamily,
-    Distribution,
-    GridDensity,
-    canonical_key,
-    discretize,
-    linf_distance,
-    normalize,
-    smooth_uniform,
-)
-from .errors import (
-    AllZeroMassError,
-    BadResolutionError,
-    BayesfuseError,
-    CrossCheckError,
-    DegenerateProductError,
-    FileFormatError,
-    IncompatibleError,
-    InsufficientCoverageError,
-    InvalidEventError,
-    NonFiniteError,
-    RepresentationMismatchError,
-    TooLargeError,
-    UnsupportedMassError,
-)
-from .fileio import load_distribution, save_distribution
-from .information import (
-    Event,
-    LossReport,
-    combined_info,
-    max_loss,
-    max_loss_exhaustive,
-    shannon_info,
-    weighted_combined_info,
-    weighted_max_loss,
-    weighted_max_loss_exhaustive,
-)
-from .ratios import RatioProfile, mlr_spread, ratio_profile
-from .search import (
-    SearchResult,
-    SimplexGrid,
-    default_resolution,
-    enumerate_simplex,
-    minimize_max_loss,
-    minimize_mlr_spread,
-    minimize_weighted_loss,
-)
+Public names are imported from their modules on first access (PEP 562),
+so importing the package, or running a discrete command, does not load
+numpy."""
+
+from importlib import import_module
+
+_EXPORTS = {
+    "combine": (
+        "CompatibilityReport",
+        "WeightedPair",
+        "averaged_data_pool",
+        "bayes_posterior",
+        "check_compatible",
+        "joint_support",
+        "linear_pool",
+        "proportionality_check",
+        "weighted_posterior",
+    ),
+    "dists": (
+        "DiscreteDist",
+        "DistFamily",
+        "Distribution",
+        "GridDensity",
+        "canonical_key",
+        "discretize",
+        "linf_distance",
+        "normalize",
+        "smooth_uniform",
+    ),
+    "errors": (
+        "AllZeroMassError",
+        "BadResolutionError",
+        "BayesfuseError",
+        "CrossCheckError",
+        "DegenerateProductError",
+        "FileFormatError",
+        "IncompatibleError",
+        "InsufficientCoverageError",
+        "InvalidEventError",
+        "NonFiniteError",
+        "RepresentationMismatchError",
+        "TooLargeError",
+        "UnsupportedMassError",
+    ),
+    "fileio": ("load_distribution", "save_distribution"),
+    "information": (
+        "Event",
+        "LossReport",
+        "combined_info",
+        "max_loss",
+        "max_loss_exhaustive",
+        "shannon_info",
+        "weighted_combined_info",
+        "weighted_max_loss",
+        "weighted_max_loss_exhaustive",
+    ),
+    "ratios": ("RatioProfile", "mlr_spread", "ratio_profile"),
+    "search": (
+        "SearchResult",
+        "SimplexGrid",
+        "default_resolution",
+        "enumerate_simplex",
+        "minimize_max_loss",
+        "minimize_mlr_spread",
+        "minimize_weighted_loss",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllZeroMassError",
-    "BadResolutionError",
-    "BayesfuseError",
-    "CompatibilityReport",
-    "CrossCheckError",
-    "DegenerateProductError",
-    "DiscreteDist",
-    "DistFamily",
-    "Distribution",
-    "Event",
-    "FileFormatError",
-    "GridDensity",
-    "IncompatibleError",
-    "InsufficientCoverageError",
-    "InvalidEventError",
-    "LossReport",
-    "NonFiniteError",
-    "RatioProfile",
-    "RepresentationMismatchError",
-    "SearchResult",
-    "SimplexGrid",
-    "TooLargeError",
-    "UnsupportedMassError",
-    "WeightedPair",
-    "averaged_data_pool",
-    "bayes_posterior",
-    "canonical_key",
-    "check_compatible",
-    "combined_info",
-    "default_resolution",
-    "discretize",
-    "enumerate_simplex",
-    "joint_support",
-    "linear_pool",
-    "linf_distance",
-    "load_distribution",
-    "max_loss",
-    "max_loss_exhaustive",
-    "minimize_max_loss",
-    "minimize_mlr_spread",
-    "minimize_weighted_loss",
-    "mlr_spread",
-    "normalize",
-    "proportionality_check",
-    "ratio_profile",
-    "save_distribution",
-    "shannon_info",
-    "smooth_uniform",
-    "weighted_combined_info",
-    "weighted_max_loss",
-    "weighted_max_loss_exhaustive",
-    "weighted_posterior",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

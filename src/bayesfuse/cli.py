@@ -14,6 +14,11 @@ Reports are line-oriented ``key = value`` text, or a JSON object with
 reported number re-parses to the library's value bit for bit; in JSON,
 non-finite values are the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 
+numpy is imported only by the commands that do array work: discretizing
+``family`` files, ``smooth``, ``verify`` and ``loss --exhaustive``.  On
+discrete (and plain grid) files, ``compat``, ``posterior``, ``loss`` and
+``mlr`` run on the standard library alone.
+
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
 closed form), 1 verification failure, 2 unreadable or malformed input
 file or argument (including a forced ``smooth`` extent that misses the
@@ -62,12 +67,6 @@ from .information import (
     weighted_max_loss_exhaustive,
 )
 from .ratios import ratio_profile
-from .search import (
-    default_resolution,
-    minimize_max_loss,
-    minimize_mlr_spread,
-    minimize_weighted_loss,
-)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -230,6 +229,14 @@ def cmd_loss(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # The simplex scan runs on numpy; the other commands do not load it.
+    from .search import (
+        default_resolution,
+        minimize_max_loss,
+        minimize_mlr_spread,
+        minimize_weighted_loss,
+    )
+
     if args.K is not None and args.K < 1:
         raise FileFormatError(f"--K must be at least 1, got {args.K}")
     report = Report("verify")

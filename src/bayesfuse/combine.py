@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from itertools import compress
+from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 from .dists import (
     DiscreteDist,
@@ -88,23 +87,23 @@ def require_same_representation(a: Distribution, b: Distribution) -> None:
 class _Aligned(NamedTuple):
     """A prior and a likelihood aligned on their joint support.
 
-    ``labels`` are atom keys, or cell indices as an integer array.  ``u``,
-    ``v`` and each array in ``q`` (one per candidate) hold raw masses or
-    densities on the labels, so cell masses are ``scale`` times them.
-    ``strays`` lists, per candidate, the labels off the joint support where
-    it is positive, sorted (atom keys as text, cells by index).
+    ``labels`` are atom keys or cell indices.  ``u``, ``v`` and each list
+    in ``q`` (one per candidate) hold raw masses or densities on the
+    labels, so cell masses are ``scale`` times them.  ``strays`` lists, per
+    candidate, the labels off the joint support where it is positive,
+    sorted (atom keys as text, cells by index).
     """
 
-    labels: tuple[str, ...] | np.ndarray
+    labels: tuple[str, ...] | tuple[int, ...]
     scale: float
-    u: np.ndarray
-    v: np.ndarray
-    q: tuple[np.ndarray, ...]
+    u: list[float]
+    v: list[float]
+    q: tuple[list[float], ...]
     strays: tuple[list, ...]
 
     @property
     def overlap(self) -> float:
-        return self.scale * math.fsum((self.u * self.v).tolist())
+        return self.scale * math.fsum(map(mul, self.u, self.v))
 
     def require_compatible(self) -> "_Aligned":
         overlap = self.overlap
@@ -124,31 +123,34 @@ def _align(p0: Distribution, like: Distribution, *candidates: Distribution) -> _
     require_same_representation(p0, like)
     for candidate in candidates:
         require_same_representation(candidate, p0)
-    if isinstance(p0, DiscreteDist):
-        keys = p0.keys
-
-        def on_keys(dist: DiscreteDist) -> np.ndarray:
-            table = dist.as_dict()
-            return np.array([table.get(key, 0.0) for key in keys])
-
-        u, v = np.array(p0.masses), on_keys(like)
-        joint = u * v > 0.0
-        labels = tuple(compress(keys, joint.tolist()))
+    discrete = isinstance(p0, DiscreteDist)
+    if discrete:
+        positions, scale = p0.keys, 1.0
+        u, v = p0.masses, _on_keys(like, positions)
+    else:
+        positions, scale = range(p0.n_cells), p0.delta
+        u, v = p0.densities, like.densities
+    joint = [x * y > 0.0 for x, y in zip(u, v)]
+    labels = tuple(compress(positions, joint))
+    if discrete:
         inside = set(labels)
-        scale = 1.0
-        q = tuple(on_keys(c)[joint] for c in candidates)
+        q = tuple(_on_keys(c, labels) for c in candidates)
         strays = tuple(
             sorted(k for k, m in c.atoms if m > 0.0 and k not in inside) for c in candidates
         )
     else:
-        u, v = np.array(p0.densities), np.array(like.densities)
-        joint = u * v > 0.0
-        labels = np.flatnonzero(joint)
-        scale = p0.delta
-        rows = [np.array(c.densities) for c in candidates]
-        q = tuple(row[joint] for row in rows)
-        strays = tuple(np.flatnonzero((row > 0.0) & ~joint).tolist() for row in rows)
-    return _Aligned(labels, scale, u[joint], v[joint], q, strays)
+        q = tuple(list(compress(c.densities, joint)) for c in candidates)
+        strays = tuple(
+            [i for i, m, j in zip(positions, c.densities, joint) if m > 0.0 and not j]
+            for c in candidates
+        )
+    return _Aligned(labels, scale, list(compress(u, joint)), list(compress(v, joint)), q, strays)
+
+
+def _on_keys(dist: DiscreteDist, keys: tuple[str, ...]) -> list[float]:
+    """Masses of ``dist`` on ``keys``, 0.0 where it has no atom."""
+    table = dist.as_dict()
+    return [table.get(key, 0.0) for key in keys]
 
 
 def joint_support(p0: DiscreteDist, like: DiscreteDist) -> tuple[str, ...]:
@@ -168,15 +170,16 @@ def check_compatible(p0: Distribution, like: Distribution) -> CompatibilityRepor
 
 def _product(p0: Distribution, aligned: _Aligned, a: float, b: float) -> Distribution:
     """The normalized product ``p0**a * pL**b`` on the joint support."""
-    values = [x**a * y**b for x, y in zip(aligned.u.tolist(), aligned.v.tolist())]
+    values = [x**a * y**b for x, y in zip(aligned.u, aligned.v)]
     total = aligned.scale * math.fsum(values)
     if not 0.0 < total < math.inf:
         raise DegenerateProductError(f"weighted product has total mass {total!r}")
     if isinstance(p0, DiscreteDist):
         return _unit_mass(aligned.labels, values)
-    densities = np.zeros(p0.n_cells)
-    densities[aligned.labels] = values
-    return GridDensity(p0.origin, p0.delta, tuple((densities / total).tolist()))
+    densities = [0.0] * p0.n_cells
+    for i, value in zip(aligned.labels, values):
+        densities[i] = value / total
+    return GridDensity(p0.origin, p0.delta, tuple(densities))
 
 
 def bayes_posterior(p0: Distribution, like: Distribution) -> Distribution:
@@ -243,7 +246,7 @@ def proportionality_check(
     with ``w = p0 * pL``, over all pairs drawn from the joint support.
     """
     aligned = _align(p0, like, pstar).require_compatible()
-    entries = list(zip(aligned.q[0].tolist(), (aligned.u * aligned.v).tolist()))
+    entries = list(zip(aligned.q[0], map(mul, aligned.u, aligned.v)))
     for i, (star_a, w_a) in enumerate(entries):
         for star_b, w_b in entries[i + 1 :]:
             if abs(star_a * w_b - star_b * w_a) > tol:

@@ -19,9 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     AllZeroMassError,
@@ -29,6 +27,11 @@ from .errors import (
     InsufficientCoverageError,
     NonFiniteError,
 )
+
+# numpy is imported inside the family, discretize and smoothing code only,
+# so that discrete and plain-grid work runs on the standard library alone.
+if TYPE_CHECKING:
+    import numpy as np
 
 DISCRETE_MASS_TOL = 1e-9
 GRID_MASS_TOL = 1e-6
@@ -106,19 +109,14 @@ def _ascending(keys: Iterable[str]) -> list[str]:
     return keys
 
 
-def key_value(key: str) -> float:
-    """Numeric position of a canonical atom key."""
-    return float(key)
-
-
-def _check_finite_nonneg(values: np.ndarray, what: str) -> None:
+def _check_finite_nonneg(values: Iterable[float], what: str) -> None:
     """Raise on the first entry that is not finite or is negative."""
-    bad = ~np.isfinite(values) | (values < 0.0)
-    if bad.any():
-        v = float(values[bad.argmax()])
-        if not math.isfinite(v):
-            raise NonFiniteError(f"{what} must be finite, got {v!r}")
-        raise ValueError(f"{what} must be nonnegative, got {v!r}")
+    for v in values:
+        # NaN fails both comparisons.
+        if not 0.0 <= v < math.inf:
+            if not math.isfinite(v):
+                raise NonFiniteError(f"{what} must be finite, got {float(v)!r}")
+            raise ValueError(f"{what} must be nonnegative, got {float(v)!r}")
 
 
 def _force_unit_sum(masses: list[float]) -> list[float]:
@@ -149,7 +147,7 @@ class DiscreteDist:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ValueError("a discrete distribution needs at least one atom")
-        _check_finite_nonneg(np.array(self.masses, dtype=float), "mass")
+        _check_finite_nonneg(self.masses, "mass")
         fullmatch = _CANONICAL.fullmatch
         previous_key, previous = None, None
         for key, _ in self.atoms:
@@ -269,7 +267,7 @@ class GridDensity:
             raise ValueError(f"cell width must be positive, got {self.delta!r}")
         if not self.densities:
             raise ValueError("a grid density needs at least one cell")
-        _check_finite_nonneg(np.array(self.densities, dtype=float), "density")
+        _check_finite_nonneg(self.densities, "density")
         total = self.delta * math.fsum(self.densities)
         if abs(total - 1.0) > GRID_MASS_TOL:
             raise ValueError(f"grid integrates to {total!r}, not 1")
@@ -277,11 +275,16 @@ class GridDensity:
     @classmethod
     def from_values(cls, origin: float, delta: float, raw: Iterable[float]) -> "GridDensity":
         """Renormalize raw nonnegative cell values into a unit-mass density."""
+        import numpy as np
+
         values = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=float)
-        _check_finite_nonneg(values, "density")
-        if not values.size:
+        listed = values.tolist()
+        # numpy clears the common case; the loop names the first bad cell.
+        if not (np.isfinite(values).all() and (values >= 0.0).all()):
+            _check_finite_nonneg(listed, "density")
+        if not listed:
             raise ValueError("a grid density needs at least one cell")
-        total = delta * math.fsum(values.tolist())
+        total = delta * math.fsum(listed)
         if total == 0.0:
             raise AllZeroMassError("all cell densities are zero")
         return cls(origin, delta, tuple((values / total).tolist()))
@@ -321,7 +324,11 @@ Distribution = DiscreteDist | GridDensity
 
 
 class _Family(NamedTuple):
-    """One row of the family table; functions take ``x`` then the params in order."""
+    """One row of the family table; functions take ``x`` then the params in order.
+
+    ``pdf`` takes the numpy module first, so that the table can be built
+    without importing it.
+    """
 
     params: tuple[str, ...]
     valid: Callable[..., bool]
@@ -338,28 +345,28 @@ _FAMILIES = {
         ("success_prob",),
         lambda p: 0.0 < p <= 1.0,
         "success_prob must be in (0, 1]",
-        lambda x, p: np.where(x >= 1.0, p * (1.0 - p) ** np.maximum(x - 1.0, 0.0), 0.0),
+        lambda np, x, p: np.where(x >= 1.0, p * (1.0 - p) ** np.maximum(x - 1.0, 0.0), 0.0),
         lambda x, p: 0.0 if x <= 1.0 else 1.0 - (1.0 - p) ** (x - 1.0),
     ),
     "normal": _Family(
         ("mean", "sd"),
         lambda mean, sd: sd > 0.0,
         "sd must be positive",
-        lambda x, mean, sd: np.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi)),
+        lambda np, x, mean, sd: np.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi)),
         lambda x, mean, sd: 0.5 * (1.0 + math.erf((x - mean) / (sd * math.sqrt(2.0)))),
     ),
     "exponential": _Family(
         ("rate",),
         lambda rate: rate > 0.0,
         "rate must be positive",
-        lambda x, rate: np.where(x >= 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0),
+        lambda np, x, rate: np.where(x >= 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0),
         lambda x, rate: 0.0 if x <= 0.0 else 1.0 - math.exp(-rate * x),
     ),
     "uniform": _Family(
         ("lower", "upper"),
         lambda lower, upper: lower < upper,
         "need lower < upper",
-        lambda x, lower, upper: np.where((lower <= x) & (x <= upper), 1.0 / (upper - lower), 0.0),
+        lambda np, x, lower, upper: np.where((lower <= x) & (x <= upper), 1.0 / (upper - lower), 0.0),
         lambda x, lower, upper: min(1.0, max(0.0, (x - lower) / (upper - lower))),
     ),
 }
@@ -425,10 +432,12 @@ class DistFamily:
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Density at ``x``: a float for a float, an array for an array."""
+        import numpy as np
+
         # Far in a tail, a squared z-score or rate*x may overflow to inf,
         # where exp gives the correct 0.
         with np.errstate(over="ignore"):
-            density = _FAMILIES[self.name].pdf(np.asarray(x, dtype=float), *self.values)
+            density = _FAMILIES[self.name].pdf(np, np.asarray(x, dtype=float), *self.values)
         return float(density) if density.ndim == 0 else density
 
     def cdf(self, x: float) -> float:
@@ -457,12 +466,16 @@ def discretize(family: DistFamily, grid: GridSpec) -> GridDensity:
         raise InsufficientCoverageError(
             f"grid covers {coverage:.9f} of the {family.name} mass, need >= {1.0 - _COVERAGE_TOL}"
         )
+    import numpy as np
+
     midpoints = origin + (np.arange(count) + 0.5) * delta
     return GridDensity.from_values(origin, delta, family.pdf(midpoints))
 
 
 def _smoothing_cdf_discrete(dist: DiscreteDist, epsilon: float):
-    thetas = [key_value(k) for k in dist.keys]
+    import numpy as np
+
+    thetas = [float(k) for k in dist.keys]
     width = 2.0 * epsilon
 
     def cdf(x: np.ndarray) -> np.ndarray:
@@ -491,6 +504,8 @@ def _smoothing_cdf_grid(dist: GridDensity, epsilon: float):
     # Convolving a piecewise-constant density with a uniform kernel gives a
     # piecewise-linear density; its CDF is evaluated through G, the running
     # integral of the input CDF (piecewise quadratic, exact).
+    import numpy as np
+
     origin, delta, end = dist.origin, dist.delta, dist.end
     densities = np.array(dist.densities, dtype=float)
     cdf_nodes = np.concatenate(([0.0], np.cumsum(densities * delta)))
@@ -570,6 +585,8 @@ def smooth_uniform(
         cells = int(cells)
         if cells < 1:
             raise ValueError("cells must be at least 1")
+    import numpy as np
+
     densities = np.diff(cdf(origin + np.arange(cells + 1) * delta_out)) / delta_out
     # `d > 0` also maps -0.0 and NaN to 0.0, as max(0.0, d) does.
     densities = np.where(densities > 0.0, densities, 0.0).tolist()

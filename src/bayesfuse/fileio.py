@@ -77,7 +77,8 @@ def payload_to_distribution(payload) -> Distribution:
             )
     except BayesfuseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer past the float range.
         raise FileFormatError(f"malformed {kind!r} distribution: {exc}") from exc
     raise FileFormatError(f"unknown distribution kind {kind!r}")
 
@@ -109,6 +110,10 @@ def load_distribution(path: str | Path, data: bytes | None = None) -> Distributi
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer past Python's int-string digit limit, or arrays and
+        # objects nested past the recursion limit.
+        raise FileFormatError(f"{path} cannot be parsed: {exc}") from exc
     return payload_to_distribution(payload)
 
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .combine import WeightedPair, _align
 from .dists import DiscreteDist, Distribution, GridDensity
@@ -39,6 +38,10 @@ from .errors import (
     RepresentationMismatchError,
     TooLargeError,
 )
+
+# numpy is imported by the exhaustive enumeration only.
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE_MAX_ATOMS = 20
 
@@ -132,11 +135,9 @@ def weighted_combined_info(pair: WeightedPair, event: Event) -> float:
 def _loss_inputs(p1: Distribution, p0: Distribution, like: Distribution):
     """Joint-support labels, the three cell masses there, and P1's strays."""
     aligned = _align(p0, like, p1).require_compatible()
-    labels = aligned.labels
-    if isinstance(labels, np.ndarray):
-        labels = labels.tolist()
-    u, v, q = ((aligned.scale * x).tolist() for x in (aligned.u, aligned.v, aligned.q[0]))
-    return labels, u, v, q, aligned.strays[0]
+    scale = aligned.scale
+    u, v, q = ([scale * x for x in row] for row in (aligned.u, aligned.v, aligned.q[0]))
+    return aligned.labels, u, v, q, aligned.strays[0]
 
 
 def _tie_break_order(labels):
@@ -200,6 +201,8 @@ def weighted_max_loss(p1: Distribution, pair: WeightedPair) -> LossReport:
 
 
 def _subset_sums(values) -> np.ndarray:
+    import numpy as np
+
     sums = np.zeros(1)
     for value in values:
         sums = np.concatenate([sums, sums + value])
@@ -224,6 +227,8 @@ def _exhaustive_max_loss(
     lower_bound = _weighted_bound(u, v, a, b)
     if strays:
         return LossReport(math.inf, Event.of(strays[0]), lower_bound, False)
+    import numpy as np
+
     prior_sums = _subset_sums(u)[1:]
     like_sums = _subset_sums(v)[1:]
     post_sums = _subset_sums(q)[1:]

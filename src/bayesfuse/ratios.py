@@ -49,7 +49,7 @@ def ratio_profile(
     strays = aligned.strays[0]
     if strays:
         raise UnsupportedMassError(f"candidate has mass off the joint support at {strays!r}")
-    ratios = (aligned.q[0] / (aligned.u * aligned.v)).tolist()
+    ratios = [c / (x * y) for c, x, y in zip(aligned.q[0], aligned.u, aligned.v)]
     entries = tuple(zip(map(str, aligned.labels), ratios))
     return RatioProfile(entries, max(ratios) - min(ratios))
 

@@ -122,7 +122,7 @@ def _scan(
     if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
         raise RepresentationMismatchError("simplex searches take discrete inputs")
     aligned = _align(p0, like).require_compatible()
-    keys, u, v = aligned.labels, aligned.u, aligned.v
+    keys, u, v = aligned.labels, np.asarray(aligned.u), np.asarray(aligned.v)
     grid = SimplexGrid(len(keys), int(K))
     best_value, best_comp, runner_up, evaluated = math.inf, (), math.inf, 0
     for block in _composition_blocks(grid, chunk_size):

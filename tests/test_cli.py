@@ -407,6 +407,29 @@ class TestCompatCommand:
         assert out == ""
         assert err == f"error: malformed {kind!r} distribution: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"kind": "discrete", "atoms": [[%s, 1.0]]}' % ("1" * 5000),
+             "cannot be parsed: Exceeds the limit (4300 digits)"),
+            ('{"kind": "discrete", "atoms": [["0", %s]]}' % ("1" * 5000),
+             "cannot be parsed: Exceeds the limit (4300 digits)"),
+            ("[" * 100_000 + "]" * 100_000,
+             "cannot be parsed: maximum recursion depth exceeded"),
+            ('{"kind": "discrete", "atoms": [["0", 1%s]]}' % ("0" * 400),
+             "malformed 'discrete' distribution: int too large to convert to float"),
+        ],
+        ids=["long-int-key", "long-int-mass", "deep-arrays", "mass-past-float-range"],
+    )
+    def test_unparseable_json_exits_two(self, capsys, files, text, message):
+        bad = files["tmp"] / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "compat", str(bad), str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_each_input_is_read_once_and_hashed_as_parsed(self, capsys, files, monkeypatch):
         opened = []
         real_open = pathlib.Path.open

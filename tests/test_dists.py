@@ -341,6 +341,7 @@ class TestGridDensity:
             ([1.0, math.nan, -1.0], NonFiniteError, "density must be finite, got nan"),
             ([1.0, -1.0, math.inf], ValueError, "density must be nonnegative, got -1.0"),
             ([math.inf, 1.0], NonFiniteError, "density must be finite, got inf"),
+            ([2.0, -0.5], ValueError, "density must be nonnegative, got -0.5"),
         ],
     )
     def test_first_bad_cell_names_the_error(self, values, error, message):
