@@ -67,6 +67,12 @@ from .information import (
     weighted_max_loss_exhaustive,
 )
 from .ratios import ratio_profile
+from .search import (
+    default_resolution,
+    minimize_max_loss,
+    minimize_mlr_spread,
+    minimize_weighted_loss,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -229,14 +235,6 @@ def cmd_loss(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # The simplex scan runs on numpy; the other commands do not load it.
-    from .search import (
-        default_resolution,
-        minimize_max_loss,
-        minimize_mlr_spread,
-        minimize_weighted_loss,
-    )
-
     if args.K is not None and args.K < 1:
         raise FileFormatError(f"--K must be at least 1, got {args.K}")
     report = Report("verify")

@@ -279,9 +279,7 @@ class GridDensity:
 
         values = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=float)
         listed = values.tolist()
-        # numpy clears the common case; the loop names the first bad cell.
-        if not (np.isfinite(values).all() and (values >= 0.0).all()):
-            _check_finite_nonneg(listed, "density")
+        _check_finite_nonneg(listed, "density")
         if not listed:
             raise ValueError("a grid density needs at least one cell")
         total = delta * math.fsum(listed)

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .combine import WeightedPair, _align
 from .dists import DiscreteDist, _unit_mass
@@ -28,6 +26,9 @@ from .errors import (
     TooLargeError,
 )
 from .information import weighted_max_loss_exhaustive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EVALUATION_BUDGET = 10**8
 
@@ -78,6 +79,8 @@ def _composition_blocks(grid: SimplexGrid, chunk_size: int) -> Iterator[np.ndarr
     ``sizes[p][x] = C(x+p-1, p-1)``, the compositions of ``x`` into ``p`` parts.
     Grids over the evaluation budget raise :class:`TooLargeError`.
     """
+    import numpy as np
+
     if grid.count > EVALUATION_BUDGET:
         raise TooLargeError(
             f"{grid.count} grid points exceed the budget of {EVALUATION_BUDGET}"
@@ -119,6 +122,8 @@ def _scan(
     evaluate_rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> SearchResult:
     """Score every grid pmf on the joint support with ``evaluate_rows(rows, u, v)``."""
+    import numpy as np
+
     if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
         raise RepresentationMismatchError("simplex searches take discrete inputs")
     aligned = _align(p0, like).require_compatible()
@@ -151,6 +156,8 @@ def _minimize_loss(
     p0: DiscreteDist, like: DiscreteDist, a: float, b: float, K: int, chunk_size: int
 ) -> SearchResult:
     def evaluate(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.log2((rows / (u**a * v**b)).max(axis=1))
 
     result = _scan(p0, like, K, chunk_size, evaluate)

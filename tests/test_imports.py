@@ -75,8 +75,13 @@ def paths(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "code",
-    ["import bayesfuse; rc = 0", "from bayesfuse import bayes_posterior, max_loss; rc = 0"],
-    ids=["package", "from-import"],
+    [
+        "import bayesfuse; rc = 0",
+        "from bayesfuse import bayes_posterior, max_loss; rc = 0",
+        "import bayesfuse; rc = 0 if bayesfuse.errors.FileFormatError and bayesfuse.dists else 1",
+        "from bayesfuse.search import SimplexGrid; rc = 0 if SimplexGrid(3, 4).count == 15 else 1",
+    ],
+    ids=["package", "from-import", "submodule-attribute", "search"],
 )
 def test_importing_the_package_leaves_numpy_unloaded(code):
     assert probe(code) == {"rc": 0, "numpy": False}
