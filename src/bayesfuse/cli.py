@@ -22,9 +22,11 @@ discrete (and plain grid) files, ``compat``, ``posterior``, ``loss`` and
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
 closed form), 1 verification failure, 2 unreadable or malformed input
 file or argument (including a forced ``smooth`` extent that misses the
-mass), 3 incompatible or representation-mismatched pair, 4 degenerate
-weighted product, 5 enumeration budget exceeded, 6 smoothing resolution
-does not divide the window, 7 candidate mass off the joint support.
+mass), 3 incompatible or representation-mismatched pair (including, for
+``posterior``, ``mlr`` and ``verify``, a joint product that underflows to
+a subnormal number), 4 degenerate weighted product, 5 enumeration budget
+exceeded, 6 smoothing resolution does not divide the window, 7 candidate
+mass off the joint support.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from pathlib import Path
 
 from .combine import (
     WeightedPair,
+    _align,
+    _product,
     bayes_posterior,
     check_compatible,
     joint_support,
@@ -58,9 +62,10 @@ from .errors import (
     TooLargeError,
     UnsupportedMassError,
 )
-from .fileio import distribution_to_payload, load_distribution, save_distribution
+from .fileio import load_distribution, save_distribution
 from .information import (
     Event,
+    _weighted_bound,
     max_loss,
     max_loss_exhaustive,
     weighted_max_loss,
@@ -151,12 +156,12 @@ class Report:
 
 
 def _add_distribution(report: Report, prefix: str, dist: Distribution) -> None:
-    payload = distribution_to_payload(dist)
-    report.add(f"{prefix}_kind", payload["kind"])
     if isinstance(dist, DiscreteDist):
+        report.add(f"{prefix}_kind", "discrete")
         for key, mass in dist.atoms:
             report.add(f"{prefix}_atom_{key}", mass)
     else:
+        report.add(f"{prefix}_kind", "grid")
         report.add(f"{prefix}_origin", dist.origin)
         report.add(f"{prefix}_delta", dist.delta)
         report.add(f"{prefix}_cells", dist.n_cells)
@@ -185,21 +190,22 @@ def cmd_posterior(args) -> int:
     prior = report.add_input("prior", args.prior)
     likelihood = report.add_input("likelihood", args.likelihood)
     weights = _weights(args)
-    compat = check_compatible(prior, likelihood)
-    report.add("overlap_mass", compat.overlap_mass)
+    # One alignment gives the overlap, the posterior and max_loss's bound.
+    aligned = _align(prior, likelihood)
+    report.add("overlap_mass", aligned.overlap)
     if weights is None or weights[0] == weights[1]:
-        rule = "bayes"
-        posterior = bayes_posterior(prior, likelihood)
+        rule, a, b = "bayes", 1.0, 1.0
+        aligned.require_compatible()
     else:
         rule = "weighted"
-        posterior = weighted_posterior(
-            WeightedPair(prior, likelihood, weights[0], weights[1])
-        )
+        a, b = WeightedPair(prior, likelihood, weights[0], weights[1]).exponents
+    posterior = _product(prior, aligned, a, b)
     if weights is not None:
         report.add("w0", weights[0])
         report.add("wL", weights[1])
     report.add("rule", rule)
-    report.add("loss_lower_bound_bits", max_loss(posterior, prior, likelihood).lower_bound)
+    u, v = aligned.require_compatible().cell_masses()
+    report.add("loss_lower_bound_bits", _weighted_bound(u, v, 1.0, 1.0))
     _add_distribution(report, "posterior", posterior)
     if args.out:
         save_distribution(posterior, args.out)

@@ -10,11 +10,15 @@ against.
 Discrete combiners operate on the *joint support* -- atoms whose keys
 appear in both inputs with a strictly positive mass product.  Posterior
 atoms outside the joint support would carry mass zero and are omitted.
+A joint term of the product that is subnormal raises
+:class:`IncompatibleError`, since the float arithmetic over it has lost
+precision.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from itertools import compress
@@ -34,6 +38,8 @@ from .errors import (
     IncompatibleError,
     RepresentationMismatchError,
 )
+
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,23 @@ class _Aligned(NamedTuple):
             )
         return self
 
+    def products(self, a: float, b: float) -> list[float]:
+        """The joint terms ``u**a * v**b``.
+
+        A subnormal term raises :class:`IncompatibleError` naming its label:
+        it has lost precision, so a posterior normalized over it can miss
+        unit mass, and a ratio to it can overflow.
+        """
+        values = [x**a * y**b for x, y in zip(self.u, self.v)]
+        if min(values, default=_MIN_NORMAL) < _MIN_NORMAL:
+            label = next(l for l, w in zip(self.labels, values) if w < _MIN_NORMAL)
+            raise IncompatibleError(f"prior-likelihood product underflows at {label}")
+        return values
+
+    def cell_masses(self) -> tuple[list[float], ...]:
+        """``u``, ``v`` and each list in ``q`` as cell masses, ``scale`` times them."""
+        return tuple([self.scale * x for x in row] for row in (self.u, self.v, *self.q))
+
 
 def _align(p0: Distribution, like: Distribution, *candidates: Distribution) -> _Aligned:
     """Align the pair and any candidates on the joint support.
@@ -170,7 +193,7 @@ def check_compatible(p0: Distribution, like: Distribution) -> CompatibilityRepor
 
 def _product(p0: Distribution, aligned: _Aligned, a: float, b: float) -> Distribution:
     """The normalized product ``p0**a * pL**b`` on the joint support."""
-    values = [x**a * y**b for x, y in zip(aligned.u, aligned.v)]
+    values = aligned.products(a, b)
     total = aligned.scale * math.fsum(values)
     if not 0.0 < total < math.inf:
         raise DegenerateProductError(f"weighted product has total mass {total!r}")

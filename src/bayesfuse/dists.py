@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
+from operator import lt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
@@ -119,6 +120,19 @@ def _check_finite_nonneg(values: Iterable[float], what: str) -> None:
             raise ValueError(f"{what} must be nonnegative, got {float(v)!r}")
 
 
+def _check_masses(masses: list[float] | tuple[float, ...]) -> None:
+    """At least one atom, and every mass finite and nonnegative."""
+    if not masses:
+        raise ValueError("a discrete distribution needs at least one atom")
+    _check_finite_nonneg(masses, "mass")
+
+
+def _check_unit_sum(masses: list[float] | tuple[float, ...]) -> None:
+    total = math.fsum(masses)
+    if abs(total - 1.0) > DISCRETE_MASS_TOL:
+        raise ValueError(f"masses sum to {total!r}, not 1")
+
+
 def _force_unit_sum(masses: list[float]) -> list[float]:
     # The largest entry absorbs the float residual so fsum(masses) == 1.0
     # exactly; this is what makes normalize() exactly idempotent.
@@ -145,9 +159,8 @@ class DiscreteDist:
     atoms: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("a discrete distribution needs at least one atom")
-        _check_finite_nonneg(self.masses, "mass")
+        masses = self.masses
+        _check_masses(masses)
         fullmatch = _CANONICAL.fullmatch
         previous_key, previous = None, None
         for key, _ in self.atoms:
@@ -163,16 +176,37 @@ class DiscreteDist:
                 if position < previous or Decimal(key) <= Decimal(previous_key):
                     raise ValueError("atom keys must be strictly increasing")
             previous_key, previous = key, position
-        total = math.fsum(m for _, m in self.atoms)
-        if abs(total - 1.0) > DISCRETE_MASS_TOL:
-            raise ValueError(f"masses sum to {total!r}, not 1")
+        _check_unit_sum(masses)
+
+    @classmethod
+    def _trusted(cls, keys: Iterable[str], masses: list[float]) -> "DiscreteDist":
+        """Build from keys that are canonical and strictly ascending by construction.
+
+        The masses get every check of the public constructor; only the key
+        pattern and order checks are skipped, since the caller guarantees them.
+        """
+        _check_masses(masses)
+        _check_unit_sum(masses)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "atoms", tuple(zip(keys, masses)))
+        return dist
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float | int | str, float]]) -> "DiscreteDist":
         """Build from (position, mass) pairs; canonicalizes keys and merges duplicates."""
-        merged: dict[str, list[float]] = {}
+        keys: list[str] = []
+        masses: list[float] = []
         for raw_key, mass in pairs:
-            merged.setdefault(canonical_key(raw_key), []).append(float(mass))
+            keys.append(canonical_key(raw_key))
+            masses.append(float(mass))
+        positions = list(map(float, keys))
+        if all(map(lt, positions, positions[1:])):
+            # Distinct and in order already, as in written files: each key
+            # is its own atom, and + 0.0 maps -0.0 to 0.0 as fsum([-0.0]) does.
+            return cls._trusted(keys, [m + 0.0 for m in masses])
+        merged: dict[str, list[float]] = {}
+        for key, mass in zip(keys, masses):
+            merged.setdefault(key, []).append(mass)
         return cls(tuple((key, math.fsum(merged[key])) for key in _ascending(merged)))
 
     @property
@@ -236,8 +270,7 @@ def _unit_mass(keys: Iterable[str], masses: list[float]) -> DiscreteDist:
         raise AllZeroMassError("all masses are zero")
     if total != 1.0:
         masses = [m / total for m in masses]
-    masses = _force_unit_sum(masses)
-    return DiscreteDist(tuple(zip(keys, masses)))
+    return DiscreteDist._trusted(keys, _force_unit_sum(masses))
 
 
 def linf_distance(a: DiscreteDist, b: DiscreteDist) -> float:

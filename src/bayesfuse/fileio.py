@@ -17,7 +17,9 @@ contract.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable
 
 from .dists import DiscreteDist, Distribution, DistFamily, GridDensity, discretize
 from .errors import BayesfuseError, FileFormatError
@@ -84,6 +86,7 @@ def payload_to_distribution(payload) -> Distribution:
 
 
 def distribution_to_payload(dist: Distribution) -> dict:
+    """The JSON payload of a distribution; files hold ``json.dumps(payload, indent=2)``."""
     if isinstance(dist, DiscreteDist):
         return {"kind": "discrete", "atoms": [[k, m] for k, m in dist.atoms]}
     return {
@@ -117,6 +120,36 @@ def load_distribution(path: str | Path, data: bytes | None = None) -> Distributi
     return payload_to_distribution(payload)
 
 
+def _json_numbers(values) -> Iterable[str]:
+    """Each number as json writes it: floats, subclasses included, with
+    ``float.__repr__``, and anything else through ``json.dumps``."""
+    if set(map(type, values)) == {float}:
+        return map(float.__repr__, values)
+    return (float.__repr__(v) if isinstance(v, float) else json.dumps(v) for v in values)
+
+
+def _indented_json(dist: Distribution) -> str:
+    """``json.dumps(distribution_to_payload(dist), indent=2)``, built directly.
+
+    With ``indent`` json encodes in pure Python, one call per value; the
+    layout of a payload is fixed, so it is written out here instead.
+    Keys are always strings, which json writes with
+    ``encode_basestring_ascii``.
+    """
+    if isinstance(dist, DiscreteDist):
+        atoms = ",\n".join(
+            f"    [\n      {encode_basestring_ascii(key)},\n      {mass}\n    ]"
+            for key, mass in zip(dist.keys, _json_numbers(dist.masses))
+        )
+        return f'{{\n  "kind": "discrete",\n  "atoms": [\n{atoms}\n  ]\n}}'
+    origin, delta = _json_numbers([dist.origin, dist.delta])
+    densities = ",\n    ".join(_json_numbers(dist.densities))
+    return (
+        f'{{\n  "kind": "grid",\n  "origin": {origin},\n  "delta": {delta},'
+        f'\n  "densities": [\n    {densities}\n  ]\n}}'
+    )
+
+
 def save_distribution(dist: Distribution, path: str | Path) -> None:
-    payload = distribution_to_payload(dist)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """Write ``dist`` as ``json.dumps(distribution_to_payload(dist), indent=2)`` and a newline."""
+    Path(path).write_text(_indented_json(dist) + "\n", encoding="utf-8")

@@ -135,8 +135,7 @@ def weighted_combined_info(pair: WeightedPair, event: Event) -> float:
 def _loss_inputs(p1: Distribution, p0: Distribution, like: Distribution):
     """Joint-support labels, the three cell masses there, and P1's strays."""
     aligned = _align(p0, like, p1).require_compatible()
-    scale = aligned.scale
-    u, v, q = ([scale * x for x in row] for row in (aligned.u, aligned.v, aligned.q[0]))
+    u, v, q = aligned.cell_masses()
     return aligned.labels, u, v, q, aligned.strays[0]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import truediv
 
 from .combine import _align
 from .dists import Distribution
@@ -49,7 +50,7 @@ def ratio_profile(
     strays = aligned.strays[0]
     if strays:
         raise UnsupportedMassError(f"candidate has mass off the joint support at {strays!r}")
-    ratios = [c / (x * y) for c, x, y in zip(aligned.q[0], aligned.u, aligned.v)]
+    ratios = list(map(truediv, aligned.q[0], aligned.products(1.0, 1.0)))
     entries = tuple(zip(map(str, aligned.labels), ratios))
     return RatioProfile(entries, max(ratios) - min(ratios))
 

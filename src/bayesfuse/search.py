@@ -120,18 +120,26 @@ def _scan(
     K: int,
     chunk_size: int,
     evaluate_rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    a: float = 1.0,
+    b: float = 1.0,
 ) -> SearchResult:
-    """Score every grid pmf on the joint support with ``evaluate_rows(rows, u, v)``."""
+    """Score every grid pmf on the joint support with ``evaluate_rows(rows, u, v)``,
+    which divides ``rows`` by ``u**a * v**b``."""
     import numpy as np
 
     if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
         raise RepresentationMismatchError("simplex searches take discrete inputs")
     aligned = _align(p0, like).require_compatible()
+    # Raises on a subnormal divisor, whose ratios would overflow.
+    aligned.products(a, b)
     keys, u, v = aligned.labels, np.asarray(aligned.u), np.asarray(aligned.v)
     grid = SimplexGrid(len(keys), int(K))
     best_value, best_comp, runner_up, evaluated = math.inf, (), math.inf, 0
     for block in _composition_blocks(grid, chunk_size):
-        values = evaluate_rows(block / grid.K, u, v)
+        # The guard keeps every divisor normal, so ratios stay finite; should
+        # numpy's rounding of a power differ, no warning reaches stderr.
+        with np.errstate(over="ignore"):
+            values = evaluate_rows(block / grid.K, u, v)
         i = int(np.argmin(values))
         chunk_best = float(values[i])
         chunk_second = (
@@ -160,7 +168,7 @@ def _minimize_loss(
 
         return np.log2((rows / (u**a * v**b)).max(axis=1))
 
-    result = _scan(p0, like, K, chunk_size, evaluate)
+    result = _scan(p0, like, K, chunk_size, evaluate, a, b)
     if len(result.argmin.atoms) <= _CROSS_CHECK_MAX_ATOMS:
         full = weighted_max_loss_exhaustive(result.argmin, WeightedPair(p0, like, a, b))
         margin = abs(full.value - result.min_value)

@@ -5,6 +5,41 @@ import pytest
 
 from bayesfuse import DiscreteDist, normalize
 
+
+def _outcome(build):
+    """The atoms ``build()`` returns, or the type and message it raised."""
+    try:
+        return "ok", build().atoms
+    except Exception as exc:  # the error itself is the value compared
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def trusted_constructions_pass_the_public_check():
+    """Every trusted construction in the suite must match the public constructor.
+
+    ``DiscreteDist._trusted`` skips the key pattern and order checks, on the
+    caller's promise that its keys are canonical and strictly ascending.  Here
+    each call also runs the public constructor on the same atoms: both must
+    return the same atoms or raise the same error.
+    """
+    trusted = DiscreteDist._trusted.__func__
+
+    def checked(cls, keys, masses):
+        keys, masses = list(keys), list(masses)
+        public = _outcome(lambda: cls(tuple(zip(keys, masses))))
+        try:
+            dist = trusted(cls, keys, masses)
+        except Exception as exc:
+            assert public == (type(exc), str(exc)), keys
+            raise
+        assert public == ("ok", dist.atoms), keys
+        return dist
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DiscreteDist, "_trusted", classmethod(checked))
+        yield
+
 CORPUS_SEED = 20240817
 
 

@@ -471,3 +471,54 @@ class TestMlrCommand:
         )
         code, _, _ = run(capsys, "mlr", stray, files["prior"], files["like"])
         assert code == 7
+
+
+class TestUnderflowingProducts:
+    """A joint term that underflows to a subnormal exits 3, naming its label."""
+
+    @pytest.fixture()
+    def pairs(self, files):
+        write = files["write"]
+        tiny = {"kind": "discrete", "atoms": [["0", 1e-160], ["1", 1e-160], ["2", 1 - 2e-160]]}
+        return {
+            # The only joint cell, 3, has the product 1.08e-318.
+            "grid_prior": write("gp.json", {
+                "kind": "grid", "origin": 0.0, "delta": 0.25,
+                "densities": [4, 0, 0, 1.445e-159],
+            }),
+            "grid_like": write("gl.json", {
+                "kind": "grid", "origin": 0.0, "delta": 0.25,
+                "densities": [0, 4, 7.06e-160, 7.49e-160],
+            }),
+            "prior": write("tp.json", tiny),
+            "like": write("tl.json", {**tiny, "atoms": [["0", 1e-160], ["1", 1e-160], ["3", 1 - 2e-160]]}),
+            "candidate": write("tc.json", {"kind": "discrete", "atoms": [["0", 0.5], ["1", 0.5]]}),
+            "skewed": write("ts.json", {"kind": "discrete", "atoms": [["0", 0.75], ["1", 0.25]]}),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["posterior", "grid_prior", "grid_like"], "3"),
+            (["posterior", "prior", "like", "--out", "out"], "0"),
+            (["mlr", "candidate", "prior", "like"], "0"),
+            (["verify", "prior", "like", "--K", "4"], "0"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_exits_three(self, capsys, files, pairs, argv, label):
+        out_file = files["tmp"] / "out.json"
+        argv = [str(out_file) if arg == "out" else pairs.get(arg, arg) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: prior-likelihood product underflows at {label}\n"
+        assert not out_file.exists()
+
+    def test_compat_and_loss_still_report(self, capsys, pairs):
+        code, out, _ = run(capsys, "compat", pairs["prior"], pairs["like"])
+        assert code == 0
+        assert report_value(out, "compatible") == "true"
+        code, out, _ = run(capsys, "loss", pairs["skewed"], pairs["prior"], pairs["like"])
+        assert code == 0
+        assert report_value(out, "witness") == "0"
+        assert report_value(out, "attained") == "false"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bayesfuse import dists
 from bayesfuse import (
     AllZeroMassError,
     BadResolutionError,
@@ -283,6 +284,66 @@ class TestKeysThatTieAsFloats:
             DiscreteDist(((high, 0.5), (low, 0.5)))
         with pytest.raises(ValueError, match="^atom keys must be strictly increasing$"):
             DiscreteDist(((high, 0.5), (high, 0.5)))
+
+
+def _merge_path(pairs):
+    """``from_pairs`` without its fast path: every key goes through the merge dict."""
+    merged = {}
+    for raw_key, mass in pairs:
+        merged.setdefault(canonical_key(raw_key), []).append(float(mass))
+    ordered = sorted(merged, key=Decimal)
+    return DiscreteDist(tuple((key, math.fsum(merged[key])) for key in ordered))
+
+
+# Keys that are equal after canonicalization ("0.1", "0.10", 0.1) and keys
+# that tie as floats (0.1 and 0.1 plus 1e-20, two past the float range).
+_PAIR_KEYS = (
+    st.integers(-3, 3)
+    | st.floats(-4.0, 4.0)
+    | st.sampled_from(["0.1", "0.10", 0.1, "0.10000000000000000001", "-0", -0.0, "2.500"])
+    | st.sampled_from(["1" + "0" * 400, "2" + "0" * 400, "-1" + "0" * 400])
+)
+_ODD_MASSES = st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf, -0.25])
+
+
+@st.composite
+def _pairs(draw):
+    """Pairs as drawn, or sorted by exact key value so the fast path runs;
+    masses scaled to a unit sum, then sometimes one odd mass or a bad key."""
+    pairs = draw(st.lists(st.tuples(_PAIR_KEYS, st.floats(0.0, 1.0)), max_size=10))
+    if draw(st.booleans()):
+        pairs.sort(key=lambda pair: Decimal(canonical_key(pair[0])))
+    total = math.fsum(m for _, m in pairs)
+    if total > 0.0 and draw(st.booleans()):
+        pairs = [(k, m / total) for k, m in pairs]
+    if pairs and draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], draw(_ODD_MASSES))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs)))
+        pairs.insert(i, (draw(st.sampled_from(["x", math.nan, math.inf])), 0.0))
+    return pairs
+
+
+class TestFromPairsFastPath:
+    @settings(deadline=None, max_examples=400)
+    @given(_pairs())
+    @example([("0", 0.5), ("1", -0.0), ("2", 0.5)]).via("-0.0 mass on the fast path")
+    @example([("0", 0.5), ("2", 0.25), ("1", 0.25)]).via("unsorted keys")
+    def test_matches_the_merge_path(self, pairs):
+        def atoms(build):
+            return lambda p: repr(build(p).atoms)
+
+        got = _outcome(atoms(DiscreteDist.from_pairs), pairs)
+        assert got == _outcome(atoms(_merge_path), pairs)
+
+    def test_ascending_keys_skip_the_merge(self, monkeypatch):
+        def refuse(keys):
+            raise AssertionError("ascending keys were merged and sorted")
+
+        monkeypatch.setattr(dists, "_ascending", refuse)
+        d = DiscreteDist.from_pairs([(-1, 0.25), ("0.50", -0.0), (2, 0.75)])
+        assert repr(d.atoms) == "(('-1', 0.25), ('0.5', 0.0), ('2', 0.75))"
 
 
 class TestNormalize:

@@ -1,8 +1,12 @@
 """Distribution file round-trips and format validation."""
 
 import json
+import math
+from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bayesfuse import dists
 from bayesfuse import (
@@ -10,10 +14,49 @@ from bayesfuse import (
     DistFamily,
     FileFormatError,
     GridDensity,
+    canonical_key,
     discretize,
     load_distribution,
     save_distribution,
 )
+from bayesfuse.fileio import distribution_to_payload
+
+# Subnormals, -0.0, and floats that need all 17 significant digits; at
+# most 0.05, so that eleven of them leave room for a first mass.
+_SMALL_MASSES = (
+    st.floats(0.0, 1e-300)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 0.01, 1 / 30])
+    | st.floats(1e-3, 0.05)
+)
+# Canonical keys of up to 50 significant digits, some past 50 characters.
+_KEYS = st.builds(
+    lambda digits, shift: canonical_key(Decimal(digits).scaleb(-shift)),
+    st.integers(-(10**50) + 1, 10**50 - 1),
+    st.integers(0, 60),
+)
+
+
+@st.composite
+def _discrete(draw):
+    keys = sorted(set(draw(st.lists(_KEYS, min_size=1, max_size=12))), key=Decimal)
+    masses = draw(st.lists(_SMALL_MASSES, min_size=len(keys) - 1, max_size=len(keys) - 1))
+    return DiscreteDist(tuple(zip(keys, [1.0 - math.fsum(masses), *masses])))
+
+
+@st.composite
+def _grid(draw):
+    """Grids built by the library, with int origin, delta and densities mixed in."""
+    origin = draw(st.integers(-(10**20), 10**20) | st.floats(-1e6, 1e6))
+    if draw(st.booleans()):
+        cells = draw(st.integers(1, 8))
+        densities = [0] * cells
+        densities[draw(st.integers(0, cells - 1))] = 1
+        return GridDensity(origin, 1, tuple(densities))
+    delta = draw(st.sampled_from([1, 2, 0.25, 0.1, 1e-300]))
+    raw = draw(st.lists(_SMALL_MASSES | st.floats(0.0, 1.0), min_size=1, max_size=12))
+    grid = GridDensity.from_values(origin, delta, [*raw, 1.0])
+    densities = [0 if d == 0.0 and draw(st.booleans()) else d for d in grid.densities]
+    return GridDensity(origin, delta, tuple(densities))
 
 
 class TestRoundTrips:
@@ -37,6 +80,18 @@ class TestRoundTrips:
         loaded = load_distribution(path)
         for (k1, m1), (k2, m2) in zip(original.atoms, loaded.atoms):
             assert k1 == k2 and m1 == m2
+
+
+class TestWriter:
+    @settings(deadline=None, max_examples=300)
+    @given(_discrete() | _grid())
+    @example(DiscreteDist((("-0." + "0" * 48 + "1", -0.0), ("1" * 50, 1.0))))
+    @example(GridDensity(0, 1, (1,)))
+    def test_bytes_are_json_dumps_of_the_payload(self, tmp_path_factory, dist):
+        path = tmp_path_factory.mktemp("writer") / "d.json"
+        save_distribution(dist, path)
+        expected = json.dumps(distribution_to_payload(dist), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestLoading:

@@ -97,6 +97,7 @@ def test_importing_the_package_leaves_numpy_unloaded(code):
         (["loss", "post", "prior", "like"], False),
         (["mlr", "post", "prior", "like"], False),
         (["compat", "grid", "grid"], False),
+        (["posterior", "grid", "grid", "--out", "out"], False),
         (["compat", "family", "family"], True),
         (["loss", "post", "prior", "like", "--exhaustive"], True),
         (["verify", "prior", "like", "--K", "4"], True),
