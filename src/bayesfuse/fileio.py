@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
 
 from .dists import DiscreteDist, Distribution, DistFamily, GridDensity, discretize
 from .errors import BayesfuseError, FileFormatError
@@ -120,12 +119,10 @@ def load_distribution(path: str | Path, data: bytes | None = None) -> Distributi
     return payload_to_distribution(payload)
 
 
-def _json_numbers(values) -> Iterable[str]:
-    """Each number as json writes it: floats, subclasses included, with
+def _json_number(value) -> str:
+    """A number as json writes it: a float, subclasses included, with
     ``float.__repr__``, and anything else through ``json.dumps``."""
-    if set(map(type, values)) == {float}:
-        return map(float.__repr__, values)
-    return (float.__repr__(v) if isinstance(v, float) else json.dumps(v) for v in values)
+    return float.__repr__(value) if isinstance(value, float) else json.dumps(value)
 
 
 def _indented_json(dist: Distribution) -> str:
@@ -138,15 +135,14 @@ def _indented_json(dist: Distribution) -> str:
     """
     if isinstance(dist, DiscreteDist):
         atoms = ",\n".join(
-            f"    [\n      {encode_basestring_ascii(key)},\n      {mass}\n    ]"
-            for key, mass in zip(dist.keys, _json_numbers(dist.masses))
+            f"    [\n      {encode_basestring_ascii(key)},\n      {_json_number(mass)}\n    ]"
+            for key, mass in dist.atoms
         )
         return f'{{\n  "kind": "discrete",\n  "atoms": [\n{atoms}\n  ]\n}}'
-    origin, delta = _json_numbers([dist.origin, dist.delta])
-    densities = ",\n    ".join(_json_numbers(dist.densities))
+    densities = ",\n    ".join(map(_json_number, dist.densities))
     return (
-        f'{{\n  "kind": "grid",\n  "origin": {origin},\n  "delta": {delta},'
-        f'\n  "densities": [\n    {densities}\n  ]\n}}'
+        f'{{\n  "kind": "grid",\n  "origin": {_json_number(dist.origin)},'
+        f'\n  "delta": {_json_number(dist.delta)},\n  "densities": [\n    {densities}\n  ]\n}}'
     )
 
 

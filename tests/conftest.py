@@ -40,6 +40,7 @@ def trusted_constructions_pass_the_public_check():
         patch.setattr(DiscreteDist, "_trusted", classmethod(checked))
         yield
 
+
 CORPUS_SEED = 20240817
 
 

@@ -88,7 +88,7 @@ class TestWriter:
     @example(DiscreteDist((("-0." + "0" * 48 + "1", -0.0), ("1" * 50, 1.0))))
     @example(GridDensity(0, 1, (1,)))
     def test_bytes_are_json_dumps_of_the_payload(self, tmp_path_factory, dist):
-        path = tmp_path_factory.mktemp("writer") / "d.json"
+        path = tmp_path_factory.getbasetemp() / "written.json"
         save_distribution(dist, path)
         expected = json.dumps(distribution_to_payload(dist), indent=2) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
