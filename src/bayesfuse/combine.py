@@ -126,7 +126,11 @@ class _Aligned(NamedTuple):
         it has lost precision, so a posterior normalized over it can miss
         unit mass, and a ratio to it can overflow.
         """
-        values = [x**a * y**b for x, y in zip(self.u, self.v)]
+        if a == b == 1.0:
+            # x**1.0 == x: the same bits as the powers, several times faster.
+            values = list(map(mul, self.u, self.v))
+        else:
+            values = [x**a * y**b for x, y in zip(self.u, self.v)]
         if min(values, default=_MIN_NORMAL) < _MIN_NORMAL:
             label = next(l for l, w in zip(self.labels, values) if w < _MIN_NORMAL)
             raise IncompatibleError(f"prior-likelihood product underflows at {label}")
