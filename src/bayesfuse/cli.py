@@ -22,10 +22,12 @@ discrete (and plain grid) files, ``compat``, ``posterior``, ``loss`` and
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
 closed form), 1 verification failure, 2 unreadable or malformed input
 file or argument (including a forced ``smooth`` extent that misses the
-mass), 3 incompatible or representation-mismatched pair (including, for
+mass, and a ``smooth`` window or extent past the float range), 3
+incompatible or representation-mismatched pair (including, for
 ``posterior``, ``mlr`` and ``verify``, a joint product that underflows to
 a subnormal number), 4 degenerate weighted product, 5 enumeration budget
-exceeded, 6 smoothing resolution does not divide the window, 7 candidate
+exceeded (including a ``smooth`` output grid of more than ``10**7``
+cells), 6 smoothing resolution does not divide the window, 7 candidate
 mass off the joint support.
 """
 
@@ -47,7 +49,6 @@ from .combine import (
     _product,
     bayes_posterior,
     check_compatible,
-    joint_support,
     weighted_posterior,
 )
 from .dists import DiscreteDist, Distribution, linf_distance, smooth_uniform
@@ -58,6 +59,7 @@ from .errors import (
     FileFormatError,
     IncompatibleError,
     InsufficientCoverageError,
+    NonFiniteError,
     RepresentationMismatchError,
     TooLargeError,
     UnsupportedMassError,
@@ -91,6 +93,7 @@ EXIT_UNSUPPORTED_MASS = 7
 _ERROR_EXITS = (
     (FileFormatError, EXIT_PARSE),
     (InsufficientCoverageError, EXIT_PARSE),
+    (NonFiniteError, EXIT_PARSE),
     (IncompatibleError, EXIT_INCOMPATIBLE),
     (RepresentationMismatchError, EXIT_INCOMPATIBLE),
     (DegenerateProductError, EXIT_DEGENERATE),
@@ -148,10 +151,7 @@ class Report:
             stream.write("\n")
         else:
             for key, value in self.items:
-                if isinstance(value, dict):
-                    stream.write(f"{key} = {json.dumps(value)}\n")
-                else:
-                    stream.write(f"{key} = {fmt17(value)}\n")
+                stream.write(f"{key} = {fmt17(value)}\n")
             stream.write(f"elapsed_seconds = {fmt17(elapsed)}\n")
 
 
@@ -248,10 +248,9 @@ def cmd_verify(args) -> int:
     likelihood = report.add_input("likelihood", args.likelihood)
     if not isinstance(prior, DiscreteDist) or not isinstance(likelihood, DiscreteDist):
         raise RepresentationMismatchError("verify needs discrete inputs")
-    compat = check_compatible(prior, likelihood)
-    if not compat.compatible:
-        raise IncompatibleError("prior and likelihood are not compatible")
-    n = len(joint_support(prior, likelihood))
+    # The scan, its cross-check and the closed form align the pair again on
+    # their own: they are the independent oracles this command compares.
+    n = len(_align(prior, likelihood).require_compatible().labels)
     K = args.K if args.K is not None else default_resolution(n)
     weights = _weights(args)
     report.add("objective", args.objective)

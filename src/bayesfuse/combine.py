@@ -4,8 +4,7 @@ The product rule (``bayes_posterior``) and its weighted generalization
 (``weighted_posterior``) are the distinguished combiners: they are the ones
 whose optimality the :mod:`bayesfuse.information`, :mod:`bayesfuse.ratios`
 and :mod:`bayesfuse.search` modules measure and verify.  ``linear_pool``
-and ``averaged_data_pool`` are the naive baselines they are compared
-against.
+is the naive baseline they are compared against.
 
 Discrete combiners operate on the *joint support* -- atoms whose keys
 appear in both inputs with a strictly positive mass product.  Posterior
@@ -20,19 +19,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from itertools import compress
 from operator import mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .dists import (
-    DiscreteDist,
-    Distribution,
-    GridDensity,
-    _unit_mass,
-    canonical_key,
-    normalize,
-)
+from .dists import DiscreteDist, Distribution, GridDensity, _unit_mass
 from .errors import (
     DegenerateProductError,
     IncompatibleError,
@@ -90,6 +81,17 @@ def require_same_representation(a: Distribution, b: Distribution) -> None:
         )
 
 
+def _joint_terms(u, v, a: float, b: float) -> Iterator[float]:
+    """The terms ``u**a * v**b``, pointwise over the two lists.
+
+    They are produced lazily, so that a sum over them holds no list.
+    """
+    if a == b == 1.0:
+        # x**1.0 == x: the same bits as the powers, several times faster.
+        return map(mul, u, v)
+    return (x**a * y**b for x, y in zip(u, v))
+
+
 class _Aligned(NamedTuple):
     """A prior and a likelihood aligned on their joint support.
 
@@ -109,7 +111,7 @@ class _Aligned(NamedTuple):
 
     @property
     def overlap(self) -> float:
-        return self.scale * math.fsum(map(mul, self.u, self.v))
+        return self.scale * math.fsum(_joint_terms(self.u, self.v, 1.0, 1.0))
 
     def require_compatible(self) -> "_Aligned":
         overlap = self.overlap
@@ -126,11 +128,7 @@ class _Aligned(NamedTuple):
         it has lost precision, so a posterior normalized over it can miss
         unit mass, and a ratio to it can overflow.
         """
-        if a == b == 1.0:
-            # x**1.0 == x: the same bits as the powers, several times faster.
-            values = list(map(mul, self.u, self.v))
-        else:
-            values = [x**a * y**b for x, y in zip(self.u, self.v)]
+        values = list(_joint_terms(self.u, self.v, a, b))
         if min(values, default=_MIN_NORMAL) < _MIN_NORMAL:
             label = next(l for l, w in zip(self.labels, values) if w < _MIN_NORMAL)
             raise IncompatibleError(f"prior-likelihood product underflows at {label}")
@@ -241,29 +239,6 @@ def linear_pool(p0: Distribution, like: Distribution) -> Distribution:
     return GridDensity(p0.origin, p0.delta, tuple(averaged))
 
 
-def averaged_data_pool(p0: DiscreteDist, like: DiscreteDist) -> DiscreteDist:
-    """Distribution of ``(X0 + XL) / 2`` for independent draws from each input.
-
-    The atom at ``(a + b) / 2`` collects the product mass of every input
-    pair mapping there; midpoints are computed in decimal arithmetic so
-    exact collisions land on one key.
-    """
-    if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
-        raise RepresentationMismatchError("averaged-data pooling is defined for discrete inputs")
-    raw: dict[str, list[float]] = {}
-    with localcontext() as ctx:
-        ctx.prec = 50
-        for key0, mass0 in p0.atoms:
-            if mass0 == 0.0:
-                continue
-            for key1, mass1 in like.atoms:
-                if mass1 == 0.0:
-                    continue
-                midpoint = (Decimal(key0) + Decimal(key1)) / 2
-                raw.setdefault(canonical_key(midpoint), []).append(mass0 * mass1)
-    return normalize((key, math.fsum(masses)) for key, masses in raw.items())
-
-
 def proportionality_check(
     pstar: Distribution, p0: Distribution, like: Distribution, tol: float
 ) -> bool:
@@ -273,7 +248,7 @@ def proportionality_check(
     with ``w = p0 * pL``, over all pairs drawn from the joint support.
     """
     aligned = _align(p0, like, pstar).require_compatible()
-    entries = list(zip(aligned.q[0], map(mul, aligned.u, aligned.v)))
+    entries = list(zip(aligned.q[0], _joint_terms(aligned.u, aligned.v, 1.0, 1.0)))
     for i, (star_a, w_a) in enumerate(entries):
         for star_b, w_b in entries[i + 1 :]:
             if abs(star_a * w_b - star_b * w_a) > tol:

@@ -20,13 +20,14 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from operator import lt
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     AllZeroMassError,
     BadResolutionError,
     InsufficientCoverageError,
     NonFiniteError,
+    TooLargeError,
 )
 
 # numpy is imported inside the family, discretize and smoothing code only,
@@ -36,6 +37,7 @@ if TYPE_CHECKING:
 
 DISCRETE_MASS_TOL = 1e-9
 GRID_MASS_TOL = 1e-6
+SMOOTH_MAX_CELLS = 10**7
 
 _KEY_PRECISION = 50
 # Longer ints are never plain keys, and str() refuses ints past 4300 digits.
@@ -217,27 +219,8 @@ class DiscreteDist:
     def masses(self) -> tuple[float, ...]:
         return tuple(m for _, m in self.atoms)
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        """Keys carrying strictly positive mass."""
-        return tuple(k for k, m in self.atoms if m > 0.0)
-
-    def mass(self, key: str) -> float:
-        return self.as_dict().get(key, 0.0)
-
     def as_dict(self) -> Mapping[str, float]:
         return dict(self.atoms)
-
-    def prob(self, keys: Iterable[str]) -> float:
-        table = self.as_dict()
-        return math.fsum(table[k] for k in keys)
-
-    def total_mass(self) -> float:
-        return math.fsum(self.masses)
 
 
 def normalize(raw: Iterable[tuple[float | int | str, float]]) -> DiscreteDist:
@@ -327,18 +310,6 @@ class GridDensity:
     @property
     def end(self) -> float:
         return self.origin + self.n_cells * self.delta
-
-    def cell_midpoint(self, index: int) -> float:
-        return self.origin + (index + 0.5) * self.delta
-
-    def midpoints(self) -> Iterator[float]:
-        return (self.cell_midpoint(i) for i in range(self.n_cells))
-
-    def cell_mass(self, index: int) -> float:
-        return self.delta * self.densities[index]
-
-    def prob(self, cells: Iterable[int]) -> float:
-        return self.delta * math.fsum(self.densities[i] for i in cells)
 
     def total_mass(self) -> float:
         return self.delta * math.fsum(self.densities)
@@ -564,6 +535,13 @@ def _smoothing_cdf_grid(dist: GridDensity, epsilon: float):
     return cdf, origin - epsilon, end + epsilon
 
 
+def _whole_cells(cells: float, rounding: Callable[[float], int], what: str) -> int:
+    """``rounding(cells)``; a count past the float range raises :class:`NonFiniteError`."""
+    if not math.isfinite(cells):
+        raise NonFiniteError(f"smoothing {what} is past the float range")
+    return rounding(cells)
+
+
 def smooth_uniform(
     dist: Distribution,
     epsilon: float,
@@ -587,7 +565,10 @@ def smooth_uniform(
     one shared grid so they can be conflated afterwards.  A non-finite
     ``origin`` raises :class:`ValueError`, and an extent that captures
     less than ``1 - 1e-6`` of the smoothed mass raises
-    :class:`InsufficientCoverageError`.
+    :class:`InsufficientCoverageError`.  A window or extent past the float
+    range, in cells or in position, raises :class:`NonFiniteError`, and an
+    output grid of more than ``10**7`` cells raises :class:`TooLargeError`
+    before any array is allocated.
     """
     epsilon = float(epsilon)
     delta_out = float(delta_out)
@@ -596,7 +577,7 @@ def smooth_uniform(
     if not (math.isfinite(delta_out) and delta_out > 0.0):
         raise ValueError(f"delta_out must be positive, got {delta_out!r}")
     span_cells = 2.0 * epsilon / delta_out
-    if abs(span_cells - round(span_cells)) > 1e-12:
+    if abs(span_cells - _whole_cells(span_cells, round, "window")) > 1e-12:
         raise BadResolutionError(
             f"cell width {delta_out!r} does not divide the window 2*epsilon = {2 * epsilon!r}"
         )
@@ -605,17 +586,21 @@ def smooth_uniform(
     else:
         cdf, lo, hi = _smoothing_cdf_grid(dist, epsilon)
     if origin is None:
-        origin = math.floor(lo / delta_out + 1e-12) * delta_out
+        origin = _whole_cells(lo / delta_out + 1e-12, math.floor, "extent") * delta_out
     else:
         origin = float(origin)
         if not math.isfinite(origin):
             raise ValueError(f"origin must be finite, got {origin!r}")
     if cells is None:
-        cells = max(1, math.ceil((hi - origin) / delta_out - 1e-12))
+        cells = max(1, _whole_cells((hi - origin) / delta_out - 1e-12, math.ceil, "extent"))
     else:
         cells = int(cells)
         if cells < 1:
             raise ValueError("cells must be at least 1")
+    if cells > SMOOTH_MAX_CELLS:
+        raise TooLargeError(f"output grid has more than the {SMOOTH_MAX_CELLS} cells smoothing allows")
+    if not math.isfinite(origin + cells * delta_out):
+        raise NonFiniteError("smoothing extent is past the float range")
     import numpy as np
 
     densities = np.diff(cdf(origin + np.arange(cells + 1) * delta_out)) / delta_out

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .combine import WeightedPair, _align
+from .combine import WeightedPair, _align, _joint_terms
 from .dists import DiscreteDist, Distribution, GridDensity
 from .errors import (
     DegenerateProductError,
@@ -139,16 +139,8 @@ def _loss_inputs(p1: Distribution, p0: Distribution, like: Distribution):
     return aligned.labels, u, v, q, aligned.strays[0]
 
 
-def _tie_break_order(labels):
-    """Iteration order making the witness deterministic under ties:
-    lexicographically smallest atom key, or smallest cell index."""
-    if labels and isinstance(labels[0], int):
-        return sorted(range(len(labels)), key=lambda i: labels[i])
-    return sorted(range(len(labels)), key=lambda i: str(labels[i]))
-
-
 def _weighted_bound(u, v, a: float, b: float) -> float:
-    normalizer = math.fsum(ui**a * vi**b for ui, vi in zip(u, v))
+    normalizer = math.fsum(_joint_terms(u, v, a, b))
     if normalizer == 0.0 or not math.isfinite(normalizer):
         raise DegenerateProductError(
             f"weighted product has total mass {normalizer!r}"
@@ -165,7 +157,8 @@ def _singleton_max_loss(
         return LossReport(math.inf, Event.of(strays[0]), lower_bound, False)
     best_value = -math.inf
     best_label = None
-    for i in _tie_break_order(labels):
+    # Under ties the witness is the smallest atom key (as text) or cell index.
+    for i in sorted(range(len(labels)), key=labels.__getitem__):
         if q[i] == 0.0:
             continue
         # Log-space form; identical to the exhaustive formula on singletons

@@ -280,6 +280,21 @@ class TestVerifyCommand:
         assert err.startswith("error: singleton fast path disagrees")
         assert re.search(r"by [\d.e+-]+ bits", err)
 
+    @pytest.mark.parametrize(
+        "objective",
+        [("shannon",), ("weighted", "--w0", "2", "--wL", "1")],
+        ids=lambda objective: objective[0],
+    )
+    def test_disjoint_pair_exits_incompatible(self, capsys, files, objective):
+        # Compatibility is checked before the weighted product, so a disjoint
+        # weighted pair exits 3, not 4.
+        code, out, err = run(
+            capsys, "verify", files["prior"], files["far"], "--objective", *objective
+        )
+        assert code == 3
+        assert out == ""
+        assert "not compatible" in err
+
     def test_report_carries_scan_throughput(self, capsys, files):
         code, out, _ = run(capsys, "verify", files["prior"], files["like"], "--K", "50")
         assert code == 0
@@ -342,6 +357,59 @@ class TestSmoothCommand:
         assert code == 2
         assert out == ""
         assert err == "error: output grid captures 0.0 of the smoothed mass, need 1 within 1e-06\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "payload, argv, code",
+        [
+            # A key past the float range puts the smoothed support at infinity.
+            (
+                {"kind": "discrete", "atoms": [["1e400", 1.0]]},
+                ("--epsilon", "1", "--delta", "0.5"),
+                2,
+            ),
+            # 4e300 output cells, refused before any array is allocated.
+            (
+                {"kind": "discrete", "atoms": [["-1e300", 0.5], ["1e300", 0.5]]},
+                ("--epsilon", "1", "--delta", "0.5"),
+                5,
+            ),
+            (
+                {"kind": "discrete", "atoms": [["0", 1.0]]},
+                ("--epsilon", "1", "--delta", "0.5", "--cells", str(10**21)),
+                5,
+            ),
+            # The grid ends at 2e308, past the float range.
+            (
+                {"kind": "grid", "origin": 1e308, "delta": 1e308, "densities": [1e-308]},
+                ("--epsilon", "1", "--delta", "0.5"),
+                2,
+            ),
+            # 2 * epsilon overflows.
+            (
+                {"kind": "discrete", "atoms": [["0", 1.0]]},
+                ("--epsilon", "1e308", "--delta", "1e308"),
+                2,
+            ),
+            # A forced grid whose last edge is past the float range.
+            (
+                {"kind": "discrete", "atoms": [["0", 1.0]]},
+                ("--epsilon", "5e306", "--delta", "1e307", "--origin", "1.7e308", "--cells", "10"),
+                2,
+            ),
+        ],
+        ids=[
+            "key-past-float", "wide-support", "forced-cells", "grid-end-past-float", "window",
+            "forced-end-past-float",
+        ],
+    )
+    def test_extreme_extent_exits_with_one_error_line(self, capsys, files, payload, argv, code):
+        path = files["write"]("extreme.json", payload)
+        out_file = files["tmp"] / "x.json"
+        exit_code, out, err = run(capsys, "smooth", path, *argv, "--out", str(out_file))
+        assert exit_code == code
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_file.exists()
 
     def test_smooth_then_posterior_pipeline(self, capsys, files):

@@ -12,7 +12,6 @@ from bayesfuse import (
     IncompatibleError,
     RepresentationMismatchError,
     WeightedPair,
-    averaged_data_pool,
     bayes_posterior,
     check_compatible,
     discretize,
@@ -62,9 +61,9 @@ class TestBayesPosterior:
     def test_uniform_prior_returns_likelihood(self):
         uniform = normalize([(k, 1.0) for k in range(4)])
         like = normalize([(k, m) for k, m in zip(range(4), (0.4, 0.3, 0.2, 0.1))])
-        post = bayes_posterior(uniform, like)
-        for key in like.keys:
-            assert post.mass(key) == pytest.approx(like.mass(key), abs=1e-15)
+        post = bayes_posterior(uniform, like).as_dict()
+        for key, mass in like.atoms:
+            assert post[key] == pytest.approx(mass, abs=1e-15)
 
     def test_commutes_exactly(self, corpus):
         for prior, like in corpus:
@@ -95,12 +94,9 @@ class TestBayesPosterior:
         g0 = discretize(DistFamily.normal(0.0, 1.0), grid)
         g1 = discretize(DistFamily.normal(1.0, 1.0), grid)
         post = bayes_posterior(g0, g1)
-        mean = post.delta * math.fsum(
-            m * d for m, d in zip(post.midpoints(), post.densities)
-        )
-        second = post.delta * math.fsum(
-            m * m * d for m, d in zip(post.midpoints(), post.densities)
-        )
+        midpoints = [post.origin + (i + 0.5) * post.delta for i in range(post.n_cells)]
+        mean = post.delta * math.fsum(m * d for m, d in zip(midpoints, post.densities))
+        second = post.delta * math.fsum(m * m * d for m, d in zip(midpoints, post.densities))
         assert mean == pytest.approx(0.5, abs=1e-3)
         assert second - mean**2 == pytest.approx(0.5, abs=1e-3)
 
@@ -120,10 +116,10 @@ class TestWeightedPosterior:
 
     def test_two_one_weighting_hand_value(self):
         pair = WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 2.0, 1.0)
-        post = weighted_posterior(pair)
+        post = weighted_posterior(pair).as_dict()
         # masses proportional to (0.5 * sqrt(0.8), 0.5 * sqrt(0.2)), i.e. 2:1
-        assert post.mass("0") == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert post.mass("1") == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert post["0"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert post["1"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_only_relative_weights_matter(self):
         base = weighted_posterior(WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 2.0, 1.0))
@@ -164,34 +160,6 @@ class TestLinearPool:
     def test_coordinate_wise_mean(self):
         pool = linear_pool(TWO_ATOM_PRIOR, TWO_ATOM_LIKE)
         assert pool.masses == (0.65, 0.35)
-
-
-class TestAveragedDataPool:
-    def test_point_masses_average_deterministically(self):
-        a = DiscreteDist((("0", 1.0),))
-        b = DiscreteDist((("1", 1.0),))
-        assert averaged_data_pool(a, b).atoms == (("0.5", 1.0),)
-
-    def test_fair_coin_convolution(self):
-        coin = DiscreteDist((("0", 0.5), ("1", 0.5)))
-        pooled = averaged_data_pool(coin, coin)
-        assert pooled.keys == ("0", "0.5", "1")
-        assert pooled.masses == (0.25, 0.5, 0.25)
-
-    def test_point_mass_shifts_and_rescales(self):
-        prior = DiscreteDist((("0", 0.3), ("2", 0.7)))
-        point = DiscreteDist((("4", 1.0),))
-        pooled = averaged_data_pool(prior, point)
-        assert pooled.atoms == (("2", 0.3), ("3", 0.7))
-
-    def test_product_masses_sum_to_one_before_scaling(self, corpus):
-        for prior, like in corpus[:15]:
-            raw_total = math.fsum(
-                m0 * m1 for _, m0 in prior.atoms for _, m1 in like.atoms
-            )
-            assert abs(raw_total - 1.0) <= 1e-12
-            pooled = averaged_data_pool(prior, like)
-            assert math.fsum(pooled.masses) == 1.0
 
 
 class TestProportionality:

@@ -17,6 +17,7 @@ from bayesfuse import (
     GridDensity,
     InsufficientCoverageError,
     NonFiniteError,
+    TooLargeError,
     canonical_key,
     check_compatible,
     discretize,
@@ -249,8 +250,7 @@ class TestDiscreteDist:
 
     def test_zero_masses_are_kept(self):
         d = DiscreteDist((("0", 1.0), ("1", 0.0)))
-        assert d.mass("1") == 0.0
-        assert d.support == ("0",)
+        assert d.atoms == (("0", 1.0), ("1", 0.0))
 
     def test_from_pairs_merges_duplicate_positions(self):
         d = DiscreteDist.from_pairs([("0.5", 0.25), (0.5, 0.25), (1, 0.5)])
@@ -391,9 +391,6 @@ class TestGridDensity:
 
     def test_midpoints_and_masses(self):
         g = GridDensity(0.0, 0.25, (1.0, 1.0, 1.0, 1.0))
-        assert g.cell_midpoint(0) == 0.125
-        assert g.cell_mass(2) == 0.25
-        assert g.prob([0, 2]) == 0.5
         assert g.end == 1.0
 
     @pytest.mark.parametrize(
@@ -548,13 +545,22 @@ class TestSmoothUniform:
         sm = smooth_uniform(d, 0.5, 0.25)
         assert sm.total_mass() == pytest.approx(1.0, abs=1e-12)
         # Bumps of density 0.5 on (-0.5, 0.5) and (9.5, 10.5), zero between.
-        mid = [sm.densities[i] for i in range(sm.n_cells) if 1.0 < sm.cell_midpoint(i) < 9.0]
+        mid = [
+            v for i, v in enumerate(sm.densities) if 1.0 < sm.origin + (i + 0.5) * sm.delta < 9.0
+        ]
         assert all(v == 0.0 for v in mid)
         assert sm.densities[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_resolution_must_divide_window(self):
         with pytest.raises(BadResolutionError):
             smooth_uniform(DiscreteDist((("0", 1.0),)), 0.3, 0.25)
+
+    def test_cell_budget_admits_exactly_its_count(self, monkeypatch):
+        monkeypatch.setattr(dists, "SMOOTH_MAX_CELLS", 4)
+        point = DiscreteDist((("0", 1.0),))
+        assert smooth_uniform(point, 0.5, 0.25).n_cells == 4
+        with pytest.raises(TooLargeError):
+            smooth_uniform(point, 0.5, 0.25, origin=-0.5, cells=5)
 
     def test_mass_preserved_for_random_discrete_inputs(self, corpus):
         for prior, _ in corpus[:10]:

@@ -1,10 +1,12 @@
-"""Discrete commands and the package import run without loading numpy.
+"""Discrete commands and the package import run without loading numpy, and
+no module imports a name it never uses.
 
-Each case runs in a fresh interpreter, since this test process has numpy
-loaded already.  The family, scan and exhaustive cases check that the
+Each numpy case runs in a fresh interpreter, since this test process has
+numpy loaded already.  The family, scan and exhaustive cases check that the
 probe can see numpy being loaded.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -116,3 +118,58 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in listed
     with pytest.raises(AttributeError):
         bayesfuse.no_such_name
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+                yield arg and arg.annotation
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, in code or in annotations.
+
+    Quoted annotations are parsed too, so a name used only in
+    ``-> "DiscreteDist"`` or under ``if TYPE_CHECKING`` counts as used.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    trees = [tree]
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                trees.append(ast.parse(node.value, mode="eval"))
+    used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in (SRC / "bayesfuse").glob("*.py") if p.name != "__init__.py"),
+)
+def test_module_uses_every_name_it_imports(module):
+    source = (SRC / "bayesfuse" / module).read_text(encoding="utf-8")
+    assert _unused_imports(source) == []
+
+
+def test_unused_import_guard_sees_annotations_and_leftovers():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from decimal import Decimal, localcontext\n"
+        "import os.path\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "def f(x: np.ndarray) -> 'Decimal':\n"
+        "    return x\n"
+    )
+    assert _unused_imports(source) == ["localcontext", "os"]

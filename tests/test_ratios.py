@@ -61,11 +61,11 @@ class TestMlrSpread:
             assert mlr_spread(post, prior, like) <= 1e-12
 
     def test_perturbations_have_positive_shrinking_spread(self):
-        post = bayes_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE)
+        post = bayes_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE).as_dict()
         spreads = []
         for delta in (0.01, 0.001):
             perturbed = DiscreteDist(
-                (("0", post.mass("0") - delta), ("1", post.mass("1") + delta))
+                (("0", post["0"] - delta), ("1", post["1"] + delta))
             )
             spread = mlr_spread(perturbed, TWO_ATOM_PRIOR, TWO_ATOM_LIKE)
             assert spread > 0.0

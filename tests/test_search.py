@@ -120,7 +120,7 @@ class TestMinimizeMaxLoss:
         assert result.argmin.atoms == (("1", 1.0),)
         assert result.evaluated_count == 1
         assert result.runner_up_value == math.inf
-        expected = -math.log2(prior.mass("1") * like.mass("1"))
+        expected = -math.log2(prior.as_dict()["1"] * like.as_dict()["1"])
         assert result.min_value == pytest.approx(expected, abs=1e-12)
 
     def test_uniform_three_atom_pair(self):
