@@ -37,9 +37,9 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
-from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
@@ -51,7 +51,7 @@ from .combine import (
     check_compatible,
     weighted_posterior,
 )
-from .dists import DiscreteDist, Distribution, linf_distance, smooth_uniform
+from .dists import DiscreteDist, Distribution, _ascending, linf_distance, smooth_uniform
 from .errors import (
     BadResolutionError,
     BayesfuseError,
@@ -171,7 +171,7 @@ def _witness_text(event: Event) -> str:
     members = list(event.members)
     if all(isinstance(m, int) for m in members):
         return ",".join(str(m) for m in sorted(members))
-    return ",".join(sorted((str(m) for m in members), key=Decimal))
+    return ",".join(_ascending(map(str, members)))
 
 
 def _weights(args) -> tuple[float, float] | None:
@@ -204,7 +204,7 @@ def cmd_posterior(args) -> int:
         report.add("w0", weights[0])
         report.add("wL", weights[1])
     report.add("rule", rule)
-    u, v = aligned.require_compatible().cell_masses()
+    u, v, _ = aligned.require_compatible().cell_masses()
     report.add("loss_lower_bound_bits", _weighted_bound(u, v, 1.0, 1.0))
     _add_distribution(report, "posterior", posterior)
     if args.out:
@@ -389,6 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("smooth", help="convolve with a uniform(-epsilon, epsilon) kernel")
+    # argparse's own pattern has no exponent, so it would take --origin -1e1
+    # for an option; smooth has no option that looks like a number.
+    p._negative_number_matcher = re.compile(
+        r"^-(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?$"
+    )
     p.add_argument("input")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True, help="output cell width")

@@ -95,19 +95,19 @@ def _joint_terms(u, v, a: float, b: float) -> Iterator[float]:
 class _Aligned(NamedTuple):
     """A prior and a likelihood aligned on their joint support.
 
-    ``labels`` are atom keys or cell indices.  ``u``, ``v`` and each list
-    in ``q`` (one per candidate) hold raw masses or densities on the
-    labels, so cell masses are ``scale`` times them.  ``strays`` lists, per
-    candidate, the labels off the joint support where it is positive,
-    sorted (atom keys as text, cells by index).
+    ``labels`` are atom keys or cell indices.  ``u``, ``v`` and ``q`` (the
+    candidate's, empty without one) hold raw masses or densities on the
+    labels, so cell masses are ``scale`` times them.  ``strays`` lists the
+    labels off the joint support where the candidate is positive, sorted
+    (atom keys as text, cells by index).
     """
 
     labels: tuple[str, ...] | tuple[int, ...]
     scale: float
     u: list[float]
     v: list[float]
-    q: tuple[list[float], ...]
-    strays: tuple[list, ...]
+    q: list[float]
+    strays: list
 
     @property
     def overlap(self) -> float:
@@ -135,18 +135,20 @@ class _Aligned(NamedTuple):
         return values
 
     def cell_masses(self) -> tuple[list[float], ...]:
-        """``u``, ``v`` and each list in ``q`` as cell masses, ``scale`` times them."""
-        return tuple([self.scale * x for x in row] for row in (self.u, self.v, *self.q))
+        """``u``, ``v`` and ``q`` as cell masses, ``scale`` times them."""
+        return tuple([self.scale * x for x in row] for row in (self.u, self.v, self.q))
 
 
-def _align(p0: Distribution, like: Distribution, *candidates: Distribution) -> _Aligned:
-    """Align the pair and any candidates on the joint support.
+def _align(
+    p0: Distribution, like: Distribution, candidate: Distribution | None = None
+) -> _Aligned:
+    """Align the pair, and the candidate if one is given, on the joint support.
 
     The joint support is where the float product of the two masses (or
     densities) is positive; the overlap is the cell-mass sum of that product.
     """
     require_same_representation(p0, like)
-    for candidate in candidates:
+    if candidate is not None:
         require_same_representation(candidate, p0)
     discrete = isinstance(p0, DiscreteDist)
     if discrete:
@@ -157,18 +159,15 @@ def _align(p0: Distribution, like: Distribution, *candidates: Distribution) -> _
         u, v = p0.densities, like.densities
     joint = [x * y > 0.0 for x, y in zip(u, v)]
     labels = tuple(compress(positions, joint))
-    if discrete:
+    if candidate is None:
+        q, strays = [], []
+    elif discrete:
         inside = set(labels)
-        q = tuple(_on_keys(c, labels) for c in candidates)
-        strays = tuple(
-            sorted(k for k, m in c.atoms if m > 0.0 and k not in inside) for c in candidates
-        )
+        q = _on_keys(candidate, labels)
+        strays = sorted(k for k, m in candidate.atoms if m > 0.0 and k not in inside)
     else:
-        q = tuple(list(compress(c.densities, joint)) for c in candidates)
-        strays = tuple(
-            [i for i, m, j in zip(positions, c.densities, joint) if m > 0.0 and not j]
-            for c in candidates
-        )
+        q = list(compress(candidate.densities, joint))
+        strays = [i for i, m, j in zip(positions, candidate.densities, joint) if m > 0.0 and not j]
     return _Aligned(labels, scale, list(compress(u, joint)), list(compress(v, joint)), q, strays)
 
 
@@ -248,7 +247,7 @@ def proportionality_check(
     with ``w = p0 * pL``, over all pairs drawn from the joint support.
     """
     aligned = _align(p0, like, pstar).require_compatible()
-    entries = list(zip(aligned.q[0], _joint_terms(aligned.u, aligned.v, 1.0, 1.0)))
+    entries = list(zip(aligned.q, _joint_terms(aligned.u, aligned.v, 1.0, 1.0)))
     for i, (star_a, w_a) in enumerate(entries):
         for star_b, w_b in entries[i + 1 :]:
             if abs(star_a * w_b - star_b * w_a) > tol:

@@ -47,7 +47,6 @@ _INT_LIMIT = 10**_KEY_PRECISION
 # trailing zeros.  [0-9], not \d: Decimal also reads non-ASCII digits, and
 # rewrites them.
 _PLAIN_DECIMAL = re.compile(r"(-?)0*([0-9]+?)(?:\.(?=[0-9])([0-9]*?)0*)?")
-_CANONICAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]*[1-9])?")
 
 
 def canonical_key(value: float | int | str | Decimal) -> str:
@@ -147,15 +146,38 @@ def _force_unit_sum(masses: list[float]) -> list[float]:
     raise AssertionError("unit-sum adjustment did not converge")
 
 
+def _merged(pairs: Iterable[tuple[float | int | str, float]]) -> tuple[list[str], list[float]]:
+    """The atoms of ``pairs``: canonical keys, distinct and ascending, with their masses.
+
+    Each key is canonicalized once.  Pairs whose keys canonicalize to the
+    same string are one atom, whose mass is the ``fsum`` of theirs.
+    """
+    keys: list[str] = []
+    masses: list[float] = []
+    for raw_key, mass in pairs:
+        keys.append(canonical_key(raw_key))
+        masses.append(float(mass))
+    positions = list(map(float, keys))
+    if all(map(lt, positions, positions[1:])):
+        # Distinct and in order already, as in written files: each key
+        # is its own atom, and + 0.0 maps -0.0 to 0.0 as fsum([-0.0]) does.
+        return keys, [m + 0.0 for m in masses]
+    merged: dict[str, list[float]] = {}
+    for key, mass in zip(keys, masses):
+        merged.setdefault(key, []).append(mass)
+    keys = _ascending(merged)
+    return keys, [math.fsum(merged[key]) for key in keys]
+
+
 @dataclass(frozen=True)
 class DiscreteDist:
     """Finite-support probability mass function.
 
     ``atoms`` is a tuple of ``(key, mass)`` pairs sorted ascending by the
     numeric value of the key.  Keys must already be canonical (see
-    :func:`canonical_key`) and pairwise distinct; masses must be
-    nonnegative and sum to 1 within ``1e-9``.  Zero masses are legal and
-    are kept; construction never renormalizes (use :func:`normalize`).
+    :func:`canonical_key`) and pairwise distinct, as :meth:`from_pairs`
+    makes them; masses must be nonnegative and sum to 1 within ``1e-9``.
+    Zero masses are kept; construction never renormalizes (use :func:`normalize`).
     """
 
     atoms: tuple[tuple[str, float], ...]
@@ -163,21 +185,12 @@ class DiscreteDist:
     def __post_init__(self) -> None:
         masses = self.masses
         _check_masses(masses)
-        fullmatch = _CANONICAL.fullmatch
-        previous_key, previous = None, None
-        for key, _ in self.atoms:
-            # The pattern accepts only canonical text; anything else gets
-            # the full test, so the accepted set is canonical_key's.
-            plain = isinstance(key, str) and len(key) <= _KEY_PRECISION and key != "-0"
-            if not (plain and fullmatch(key)) and canonical_key(key) != key:
+        keys = self.keys
+        for key in keys:
+            if canonical_key(key) != key:
                 raise ValueError(f"atom key is not canonical: {key!r}")
-            position = float(key)
-            # Float rounding never reverses order; only keys that tie as
-            # floats, such as two past the float range, need exact values.
-            if previous is not None and not position > previous:
-                if position < previous or Decimal(key) <= Decimal(previous_key):
-                    raise ValueError("atom keys must be strictly increasing")
-            previous_key, previous = key, position
+        if _ascending(set(keys)) != list(keys):
+            raise ValueError("atom keys must be strictly increasing")
         _check_unit_sum(masses)
 
     @classmethod
@@ -185,7 +198,7 @@ class DiscreteDist:
         """Build from keys that are canonical and strictly ascending by construction.
 
         The masses get every check of the public constructor; only the key
-        pattern and order checks are skipped, since the caller guarantees them.
+        checks are skipped, since the caller guarantees them.
         """
         _check_masses(masses)
         _check_unit_sum(masses)
@@ -196,20 +209,7 @@ class DiscreteDist:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float | int | str, float]]) -> "DiscreteDist":
         """Build from (position, mass) pairs; canonicalizes keys and merges duplicates."""
-        keys: list[str] = []
-        masses: list[float] = []
-        for raw_key, mass in pairs:
-            keys.append(canonical_key(raw_key))
-            masses.append(float(mass))
-        positions = list(map(float, keys))
-        if all(map(lt, positions, positions[1:])):
-            # Distinct and in order already, as in written files: each key
-            # is its own atom, and + 0.0 maps -0.0 to 0.0 as fsum([-0.0]) does.
-            return cls._trusted(keys, [m + 0.0 for m in masses])
-        merged: dict[str, list[float]] = {}
-        for key, mass in zip(keys, masses):
-            merged.setdefault(key, []).append(mass)
-        return cls(tuple((key, math.fsum(merged[key])) for key in _ascending(merged)))
+        return cls._trusted(*_merged(pairs))
 
     @property
     def keys(self) -> tuple[str, ...]:
@@ -231,18 +231,10 @@ def normalize(raw: Iterable[tuple[float | int | str, float]]) -> DiscreteDist:
     :class:`NonFiniteError` on NaN/infinite input.  The result sums to 1.0
     exactly, so ``normalize`` is exactly idempotent.
     """
-    merged: dict[str, list[float]] = {}
-    for raw_key, mass in raw:
-        mass = float(mass)
-        if not math.isfinite(mass):
-            raise NonFiniteError(f"mass must be finite, got {mass!r}")
-        if mass < 0.0:
-            raise ValueError(f"mass must be nonnegative, got {mass!r}")
-        merged.setdefault(canonical_key(raw_key), []).append(mass)
-    if not merged:
-        raise ValueError("no atoms given")
-    keys = _ascending(merged)
-    return _unit_mass(keys, [math.fsum(merged[k]) for k in keys])
+    pairs = [(key, float(mass)) for key, mass in raw]
+    # Checked as given: summing duplicates first could hide a negative mass.
+    _check_masses([mass for _, mass in pairs])
+    return _unit_mass(*_merged(pairs))
 
 
 def _unit_mass(keys: Iterable[str], masses: list[float]) -> DiscreteDist:

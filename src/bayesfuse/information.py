@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .combine import WeightedPair, _align, _joint_terms
+from .combine import _MIN_NORMAL, WeightedPair, _align, _joint_terms
 from .dists import DiscreteDist, Distribution, GridDensity
 from .errors import (
     DegenerateProductError,
@@ -132,14 +132,16 @@ def weighted_combined_info(pair: WeightedPair, event: Event) -> float:
     )
 
 
-def _loss_inputs(p1: Distribution, p0: Distribution, like: Distribution):
-    """Joint-support labels, the three cell masses there, and P1's strays."""
-    aligned = _align(p0, like, p1).require_compatible()
-    u, v, q = aligned.cell_masses()
-    return aligned.labels, u, v, q, aligned.strays[0]
-
-
 def _weighted_bound(u, v, a: float, b: float) -> float:
+    """``-log2 sum(u**a * v**b)``; when a term is subnormal, and so has lost
+    bits, the terms are summed scaled by the largest ``a*log2(u) + b*log2(v)``."""
+    if min(_joint_terms(u, v, a, b), default=_MIN_NORMAL) < _MIN_NORMAL:
+
+        def logs():
+            return (a * math.log2(x) + b * math.log2(y) for x, y in zip(u, v))
+
+        top = max(logs())
+        return -(top + math.log2(math.fsum(2.0 ** (w - top) for w in logs())))
     normalizer = math.fsum(_joint_terms(u, v, a, b))
     if normalizer == 0.0 or not math.isfinite(normalizer):
         raise DegenerateProductError(
@@ -151,10 +153,11 @@ def _weighted_bound(u, v, a: float, b: float) -> float:
 def _singleton_max_loss(
     p1: Distribution, p0: Distribution, like: Distribution, a: float, b: float
 ) -> LossReport:
-    labels, u, v, q, strays = _loss_inputs(p1, p0, like)
+    aligned = _align(p0, like, p1).require_compatible()
+    labels, (u, v, q) = aligned.labels, aligned.cell_masses()
     lower_bound = _weighted_bound(u, v, a, b)
-    if strays:
-        return LossReport(math.inf, Event.of(strays[0]), lower_bound, False)
+    if aligned.strays:
+        return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound, False)
     best_value = -math.inf
     best_label = None
     # Under ties the witness is the smallest atom key (as text) or cell index.
@@ -210,15 +213,16 @@ def _exhaustive_max_loss(
 ) -> LossReport:
     if isinstance(p0, GridDensity) or isinstance(p1, GridDensity):
         raise RepresentationMismatchError("exhaustive enumeration is defined for discrete inputs")
-    labels, u, v, q, strays = _loss_inputs(p1, p0, like)
+    aligned = _align(p0, like, p1).require_compatible()
+    labels, (u, v, q) = aligned.labels, aligned.cell_masses()
     n = len(labels)
     if n > EXHAUSTIVE_MAX_ATOMS:
         raise TooLargeError(
             f"joint support has {n} atoms; exhaustive enumeration allows {EXHAUSTIVE_MAX_ATOMS}"
         )
     lower_bound = _weighted_bound(u, v, a, b)
-    if strays:
-        return LossReport(math.inf, Event.of(strays[0]), lower_bound, False)
+    if aligned.strays:
+        return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound, False)
     import numpy as np
 
     prior_sums = _subset_sums(u)[1:]

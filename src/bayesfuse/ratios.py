@@ -47,10 +47,10 @@ def ratio_profile(
     no overlap at all.
     """
     aligned = _align(p0, like, candidate).require_compatible()
-    strays = aligned.strays[0]
+    strays = aligned.strays
     if strays:
         raise UnsupportedMassError(f"candidate has mass off the joint support at {strays!r}")
-    ratios = list(map(truediv, aligned.q[0], aligned.products(1.0, 1.0)))
+    ratios = list(map(truediv, aligned.q, aligned.products(1.0, 1.0)))
     entries = tuple(zip(map(str, aligned.labels), ratios))
     return RatioProfile(entries, max(ratios) - min(ratios))
 

@@ -7,9 +7,9 @@ on each, and report the grid minimizer.  Watching the argmin converge to
 the closed form as ``K`` grows is the package's empirical check that the
 product-rule (and weighted) posteriors really are the optimizers.
 
-The grid is enumerated in numpy blocks of at most ``chunk_size``
-lexicographic rows, so memory stays bounded, and the reduction keeps the
-first minimum seen, so results are bit-identical however it is chunked.
+The grid is enumerated in numpy blocks of at most 16384 lexicographic
+rows, so memory stays bounded, and the reduction keeps the first minimum
+seen, so results are bit-identical however it is chunked.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ def _scan(
     p0: DiscreteDist,
     like: DiscreteDist,
     K: int,
-    chunk_size: int,
     evaluate_rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     a: float = 1.0,
     b: float = 1.0,
@@ -135,7 +134,7 @@ def _scan(
     keys, u, v = aligned.labels, np.asarray(aligned.u), np.asarray(aligned.v)
     grid = SimplexGrid(len(keys), int(K))
     best_value, best_comp, runner_up, evaluated = math.inf, (), math.inf, 0
-    for block in _composition_blocks(grid, chunk_size):
+    for block in _composition_blocks(grid, _CHUNK_SIZE):
         # The guard keeps every divisor normal, so ratios stay finite; should
         # numpy's rounding of a power differ, no warning reaches stderr.
         with np.errstate(over="ignore"):
@@ -161,14 +160,14 @@ def default_resolution(n: int) -> int:
 
 
 def _minimize_loss(
-    p0: DiscreteDist, like: DiscreteDist, a: float, b: float, K: int, chunk_size: int
+    p0: DiscreteDist, like: DiscreteDist, a: float, b: float, K: int
 ) -> SearchResult:
     def evaluate(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         import numpy as np
 
         return np.log2((rows / (u**a * v**b)).max(axis=1))
 
-    result = _scan(p0, like, K, chunk_size, evaluate, a, b)
+    result = _scan(p0, like, K, evaluate, a, b)
     if len(result.argmin.atoms) <= _CROSS_CHECK_MAX_ATOMS:
         full = weighted_max_loss_exhaustive(result.argmin, WeightedPair(p0, like, a, b))
         margin = abs(full.value - result.min_value)
@@ -179,27 +178,21 @@ def _minimize_loss(
     return result
 
 
-def minimize_max_loss(
-    p0: DiscreteDist, like: DiscreteDist, K: int, chunk_size: int = _CHUNK_SIZE
-) -> SearchResult:
+def minimize_max_loss(p0: DiscreteDist, like: DiscreteDist, K: int) -> SearchResult:
     """Scan the simplex grid for the pmf with the smallest maximum information loss."""
-    return _minimize_loss(p0, like, 1.0, 1.0, K, chunk_size)
+    return _minimize_loss(p0, like, 1.0, 1.0, K)
 
 
-def minimize_weighted_loss(
-    pair: WeightedPair, K: int, chunk_size: int = _CHUNK_SIZE
-) -> SearchResult:
+def minimize_weighted_loss(pair: WeightedPair, K: int) -> SearchResult:
     """Grid search against the weighted maximum-loss objective."""
-    return _minimize_loss(pair.prior, pair.likelihood, *pair.exponents, K, chunk_size)
+    return _minimize_loss(pair.prior, pair.likelihood, *pair.exponents, K)
 
 
-def minimize_mlr_spread(
-    p0: DiscreteDist, like: DiscreteDist, K: int, chunk_size: int = _CHUNK_SIZE
-) -> SearchResult:
+def minimize_mlr_spread(p0: DiscreteDist, like: DiscreteDist, K: int) -> SearchResult:
     """Grid search for the pmf with the smallest likelihood-ratio spread."""
 
     def evaluate(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         ratios = rows / (u * v)
         return ratios.max(axis=1) - ratios.min(axis=1)
 
-    return _scan(p0, like, K, chunk_size, evaluate)
+    return _scan(p0, like, K, evaluate)

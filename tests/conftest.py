@@ -18,8 +18,8 @@ def _outcome(build):
 def trusted_constructions_pass_the_public_check():
     """Every trusted construction in the suite must match the public constructor.
 
-    ``DiscreteDist._trusted`` skips the key pattern and order checks, on the
-    caller's promise that its keys are canonical and strictly ascending.  Here
+    ``DiscreteDist._trusted`` skips the key checks, on the caller's promise
+    that its keys are canonical and strictly ascending.  Here
     each call also runs the public constructor on the same atoms: both must
     return the same atoms or raise the same error.
     """

@@ -9,8 +9,8 @@ import re
 
 import pytest
 
-from bayesfuse import load_distribution, search
-from bayesfuse.cli import fmt17, main
+from bayesfuse import Event, load_distribution, search
+from bayesfuse.cli import _witness_text, fmt17, main
 
 
 @pytest.fixture()
@@ -57,6 +57,14 @@ class TestFmt17:
             assert float(fmt17(float(value))) == float(value)
         assert float(fmt17(0.1)) == 0.1
         assert fmt17(True) == "true"
+
+
+def test_witness_lists_members_in_numeric_order():
+    keys = Event.of("10", "9", "-1", "0.10000000000000000001", "0.1", "1" + "0" * 400)
+    assert _witness_text(keys) == ",".join(
+        ["-1", "0.1", "0.10000000000000000001", "9", "10", "1" + "0" * 400]
+    )
+    assert _witness_text(Event.of(10, 9, 0)) == "0,9,10"
 
 
 class TestPosteriorCommand:
@@ -412,6 +420,15 @@ class TestSmoothCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("origin", ["-1e1", "-1E+1", "-.1e2"])
+    def test_negative_origin_in_exponent_notation(self, capsys, files, origin):
+        common = ("smooth", files["pm0"], "--epsilon", "1", "--delta", "0.5", "--cells", "40")
+        spaced, joined = files["tmp"] / "spaced.json", files["tmp"] / "joined.json"
+        assert run(capsys, *common, "--origin", origin, "--out", str(spaced))[0] == 0
+        assert run(capsys, *common, "--origin=-1e1", "--out", str(joined))[0] == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert load_distribution(joined).origin == -10.0
+
     def test_smooth_then_posterior_pipeline(self, capsys, files):
         """Disjoint point masses, once smoothed onto a shared grid with a wide
         enough window, conflate successfully."""
@@ -581,6 +598,15 @@ class TestUnderflowingProducts:
         assert (code, out) == (3, "")
         assert err == f"error: prior-likelihood product underflows at {label}\n"
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--exhaustive"]], ids=["singleton", "exhaustive"])
+    def test_product_rule_loss_attains_its_bound(self, capsys, pairs, flags):
+        code, out, err = run(
+            capsys, "loss", pairs["candidate"], pairs["prior"], pairs["like"], *flags
+        )
+        assert (code, err) == (0, "")
+        assert report_value(out, "attained") == "true"
+        assert report_value(out, "value_bits") == report_value(out, "lower_bound_bits")
 
     def test_compat_and_loss_still_report(self, capsys, pairs):
         code, out, _ = run(capsys, "compat", pairs["prior"], pairs["like"])

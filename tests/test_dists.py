@@ -341,9 +341,11 @@ class TestFromPairsFastPath:
         def refuse(keys):
             raise AssertionError("ascending keys were merged and sorted")
 
+        # _merged directly: the trust guard on from_pairs runs the public
+        # constructor, which orders keys through _ascending itself.
         monkeypatch.setattr(dists, "_ascending", refuse)
-        d = DiscreteDist.from_pairs([(-1, 0.25), ("0.50", -0.0), (2, 0.75)])
-        assert repr(d.atoms) == "(('-1', 0.25), ('0.5', 0.0), ('2', 0.75))"
+        merged = dists._merged([(-1, 0.25), ("0.50", -0.0), (2, 0.75)])
+        assert repr(merged) == "(['-1', '0.5', '2'], [0.25, 0.0, 0.75])"
 
 
 class TestNormalize:
@@ -373,6 +375,35 @@ class TestNormalize:
             twice = normalize(once.atoms)
             assert once == twice
             assert math.fsum(once.masses) == 1.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-5, 5),
+                st.builds(lambda m, e: m * 10.0**e, st.floats(0.1, 1.0), st.integers(-299, 0)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_exactly_idempotent_from_1e300_to_1(self, raw):
+        once = normalize(raw)
+        assert repr(normalize(once.atoms).atoms) == repr(once.atoms)
+        assert math.fsum(once.masses) == 1.0
+
+    # About one draw in ten succeeds on both sides; the rest raise.
+    @settings(deadline=None, max_examples=500)
+    @given(_pairs())
+    def test_orders_keys_as_from_pairs_does(self, pairs):
+        built = _outcome(lambda p: DiscreteDist.from_pairs(p).keys, pairs)
+        scaled = _outcome(lambda p: normalize(p).keys, pairs)
+        if built[0] == scaled[0] == "ok":
+            assert scaled == built
+
+    def test_each_mass_is_checked_before_duplicates_merge(self):
+        with pytest.raises(ValueError, match=r"^mass must be nonnegative, got -0.25$"):
+            normalize([("0", -0.25), ("0.0", 1.25)])
 
     def test_zero_masses_survive_scaling(self):
         d = normalize([("0", 0.0), ("1", 2.0)])

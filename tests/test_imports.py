@@ -131,12 +131,27 @@ def _annotations(tree: ast.Module):
                 yield arg and arg.annotation
 
 
-def _unused_imports(source: str) -> list[str]:
-    """Names a module imports and never reads, in code or in annotations.
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names a module reads, in code or in annotations.
 
     Quoted annotations are parsed too, so a name used only in
     ``-> "DiscreteDist"`` or under ``if TYPE_CHECKING`` counts as used.
     """
+    trees = [tree]
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                trees.append(ast.parse(node.value, mode="eval"))
+    return {
+        n.id
+        for t in trees
+        for n in ast.walk(t)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, in code or in annotations."""
     tree = ast.parse(source)
     imported = set()
     for node in ast.walk(tree):
@@ -144,13 +159,7 @@ def _unused_imports(source: str) -> list[str]:
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
-    trees = [tree]
-    for annotation in filter(None, _annotations(tree)):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                trees.append(ast.parse(node.value, mode="eval"))
-    used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return sorted(imported - used)
+    return sorted(imported - _names_read(tree))
 
 
 @pytest.mark.parametrize(
@@ -173,3 +182,54 @@ def test_unused_import_guard_sees_annotations_and_leftovers():
         "    return x\n"
     )
     assert _unused_imports(source) == ["localcontext", "os"]
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_names`` that no module reads, by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read |= _names_read(tree)
+        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            dead += [
+                f"{module}:{name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return sorted(dead)
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted((SRC / "bayesfuse").glob("*.py"))
+    }
+    assert _dead_private_names(sources) == []
+
+
+def test_dead_private_name_guard_sees_a_leftover():
+    sources = {
+        "a.py": (
+            "import re\n"
+            "_USED = 1\n"
+            "_CANONICAL = re.compile('x')\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "class _Kept:\n"
+            "    pass\n"
+            "kept: '_Kept'\n"
+        ),
+        "b.py": "from . import a\na._helper()\n",
+    }
+    assert _dead_private_names(sources) == ["a.py:_CANONICAL"]

@@ -267,6 +267,26 @@ class TestWeightedMaxLoss:
         assert weighted_max_loss(post, pair).attained
 
 
+class TestBoundOverSubnormalTerms:
+    """Joint terms below the normal range: the bound is summed in log space."""
+
+    @pytest.mark.parametrize(
+        "mass, w0, wL",
+        [(1e-160, 1.0, 1.0), (2e-162, 1.0, 1.0), (1e-160, 1.0, 1.01)],
+    )
+    def test_symmetric_posterior_attains_the_bound(self, mass, w0, wL):
+        prior = DiscreteDist.from_pairs([("0", mass), ("1", mass), ("2", 1.0)])
+        like = DiscreteDist.from_pairs([("0", mass), ("1", mass), ("3", 1.0)])
+        post = DiscreteDist.from_pairs([("0", 0.5), ("1", 0.5)])
+        pair = WeightedPair(prior, like, w0, wL)
+        a, b = pair.exponents
+        bound = -1.0 - (a + b) * math.log2(mass)
+        for loss in (weighted_max_loss, weighted_max_loss_exhaustive):
+            report = loss(post, pair)
+            assert report.attained
+            assert abs(report.lower_bound - bound) <= 1e-12 * bound
+
+
 class TestLossReportInvariants:
     def test_value_below_bound_is_rejected(self):
         with pytest.raises(ValueError):

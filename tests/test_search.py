@@ -58,7 +58,7 @@ class TestCompositionBlocks:
         assert rows == sorted(rows)
         assert all(sum(row) == K for row in rows)
 
-    def test_evaluate_rows_never_sees_more_than_a_chunk(self):
+    def test_evaluate_rows_never_sees_more_than_a_chunk(self, monkeypatch):
         uniform = normalize([(k, 1.0) for k in range(4)])
         seen = []
 
@@ -66,7 +66,8 @@ class TestCompositionBlocks:
             seen.append(rows.shape)
             return rows[:, 0]
 
-        result = search._scan(uniform, uniform, 20, 100, evaluate)
+        monkeypatch.setattr(search, "_CHUNK_SIZE", 100)
+        result = search._scan(uniform, uniform, 20, evaluate)
         assert max(shape[0] for shape in seen) == 100
         assert all(shape[1] == 4 for shape in seen)
         assert sum(shape[0] for shape in seen) == SimplexGrid(4, 20).count
@@ -166,10 +167,12 @@ class TestMinimizeMaxLoss:
         with pytest.raises(CrossCheckError, match=r"disagrees .* by [\d.e+-]+ bits"):
             minimize_max_loss(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 20)
 
-    def test_chunking_does_not_change_the_result(self):
+    def test_chunking_does_not_change_the_result(self, monkeypatch):
         uniform = normalize([(k, 1.0) for k in range(3)])
-        fine = minimize_max_loss(uniform, uniform, 60, chunk_size=7)
-        coarse = minimize_max_loss(uniform, uniform, 60, chunk_size=100000)
+        monkeypatch.setattr(search, "_CHUNK_SIZE", 7)
+        fine = minimize_max_loss(uniform, uniform, 60)
+        monkeypatch.setattr(search, "_CHUNK_SIZE", 100000)
+        coarse = minimize_max_loss(uniform, uniform, 60)
         assert fine == coarse
 
 
