@@ -14,10 +14,9 @@ Reports are line-oriented ``key = value`` text, or a JSON object with
 reported number re-parses to the library's value bit for bit; in JSON,
 non-finite values are the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 
-numpy is imported only by the commands that do array work: discretizing
-``family`` files, ``smooth``, ``verify`` and ``loss --exhaustive``.  On
-discrete (and plain grid) files, ``compat``, ``posterior``, ``loss`` and
-``mlr`` run on the standard library alone.
+numpy is imported only by the commands that do array work: ``smooth``,
+``verify`` and ``loss --exhaustive``.  ``compat``, ``posterior``, ``loss``
+and ``mlr`` run on the standard library alone, on every file kind.
 
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
 closed form), 1 verification failure, 2 unreadable or malformed input
@@ -46,6 +45,7 @@ from pathlib import Path
 from .combine import (
     WeightedPair,
     _align,
+    _exponents,
     _product,
     bayes_posterior,
     check_compatible,
@@ -182,6 +182,10 @@ def _weights(args) -> tuple[float, float] | None:
     for flag, value in (("--w0", args.w0), ("--wL", args.wL)):
         if not (math.isfinite(value) and value > 0.0):
             raise FileFormatError(f"{flag} must be positive, got {value}")
+    try:
+        _exponents(args.w0, args.wL)
+    except ValueError as exc:
+        raise FileFormatError(f"--w0 and --wL: {exc}") from None
     return float(args.w0), float(args.wL)
 
 
@@ -246,8 +250,6 @@ def cmd_verify(args) -> int:
     report = Report("verify")
     prior = report.add_input("prior", args.prior)
     likelihood = report.add_input("likelihood", args.likelihood)
-    if not isinstance(prior, DiscreteDist) or not isinstance(likelihood, DiscreteDist):
-        raise RepresentationMismatchError("verify needs discrete inputs")
     # The scan, its cross-check and the closed form align the pair again on
     # their own: they are the independent oracles this command compares.
     n = len(_align(prior, likelihood).require_compatible().labels)

@@ -35,7 +35,10 @@ _MIN_NORMAL = sys.float_info.min
 
 @dataclass(frozen=True)
 class WeightedPair:
-    """A prior and a likelihood with strictly positive importance weights."""
+    """A prior and a likelihood with strictly positive importance weights.
+
+    The smaller weight over the larger must be a normal float.
+    """
 
     prior: Distribution
     likelihood: Distribution
@@ -47,13 +50,26 @@ class WeightedPair:
             raise ValueError(f"prior weight must be positive, got {self.w0!r}")
         if not (math.isfinite(self.wL) and self.wL > 0.0):
             raise ValueError(f"likelihood weight must be positive, got {self.wL!r}")
+        _exponents(self.w0, self.wL)
         require_same_representation(self.prior, self.likelihood)
 
     @property
     def exponents(self) -> tuple[float, float]:
         """Normalized exponents (w0/max, wL/max); only relative weights matter."""
-        top = max(self.w0, self.wL)
-        return self.w0 / top, self.wL / top
+        return _exponents(self.w0, self.wL)
+
+
+def _exponents(w0: float, wL: float) -> tuple[float, float]:
+    """``(w0/max, wL/max)`` for positive weights.
+
+    Raises :class:`ValueError` when the smaller one is below the normal
+    range, where a positive weight would act as zero.
+    """
+    top = max(w0, wL)
+    a, b = w0 / top, wL / top
+    if min(a, b) < _MIN_NORMAL:
+        raise ValueError(f"weight ratio {w0!r} : {wL!r} is past the float range")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -243,10 +259,13 @@ def proportionality_check(
 ) -> bool:
     """Does ``pstar`` reproduce the pairwise mass ratios of the product ``p0*pL``?
 
-    Tested in cross-multiplied form, ``|p*(a) w(b) - p*(b) w(a)| <= tol``
-    with ``w = p0 * pL``, over all pairs drawn from the joint support.
+    ``pstar`` must put no mass off the joint support.  On it, the ratios are
+    tested in cross-multiplied form, ``|p*(a) w(b) - p*(b) w(a)| <= tol``
+    with ``w = p0 * pL``, over all pairs of atoms or cells.
     """
     aligned = _align(p0, like, pstar).require_compatible()
+    if aligned.strays:
+        return False
     entries = list(zip(aligned.q, _joint_terms(aligned.u, aligned.v, 1.0, 1.0)))
     for i, (star_a, w_a) in enumerate(entries):
         for star_b, w_b in entries[i + 1 :]:

@@ -30,8 +30,8 @@ from .errors import (
     TooLargeError,
 )
 
-# numpy is imported inside the family, discretize and smoothing code only,
-# so that discrete and plain-grid work runs on the standard library alone.
+# numpy is imported inside the smoothing code only, so that every file kind
+# loads on the standard library alone.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -283,17 +283,14 @@ class GridDensity:
     @classmethod
     def from_values(cls, origin: float, delta: float, raw: Iterable[float]) -> "GridDensity":
         """Renormalize raw nonnegative cell values into a unit-mass density."""
-        import numpy as np
-
-        values = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=float)
-        listed = values.tolist()
-        _check_finite_nonneg(listed, "density")
-        if not listed:
+        values = list(map(float, raw))
+        _check_finite_nonneg(values, "density")
+        if not values:
             raise ValueError("a grid density needs at least one cell")
-        total = delta * math.fsum(listed)
+        total = delta * math.fsum(values)
         if total == 0.0:
             raise AllZeroMassError("all cell densities are zero")
-        return cls(origin, delta, tuple((values / total).tolist()))
+        return cls(origin, delta, tuple([v / total for v in values]))
 
     @property
     def n_cells(self) -> int:
@@ -318,49 +315,47 @@ Distribution = DiscreteDist | GridDensity
 
 
 class _Family(NamedTuple):
-    """One row of the family table; functions take ``x`` then the params in order.
-
-    ``pdf`` takes the numpy module first, so that the table can be built
-    without importing it.
-    """
+    """One row of the family table; functions take ``x`` then the params in order."""
 
     params: tuple[str, ...]
     valid: Callable[..., bool]
     requirement: str
-    pdf: Callable[..., np.ndarray]
+    pdf: Callable[..., float]
     cdf: Callable[..., float]
 
 
+def _normal_pdf(x: float, mean: float, sd: float) -> float:
+    z = (x - mean) / sd
+    return math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+
+
 _FAMILIES = {
-    # Each pdf is one numpy expression on an array of positions.  Masked-off
-    # positions go through np.maximum so that p == 1 never computes
-    # 0**negative and a negative x never overflows exp.
     "geometric": _Family(
         ("success_prob",),
         lambda p: 0.0 < p <= 1.0,
         "success_prob must be in (0, 1]",
-        lambda np, x, p: np.where(x >= 1.0, p * (1.0 - p) ** np.maximum(x - 1.0, 0.0), 0.0),
+        lambda x, p: 0.0 if x < 1.0 else p * (1.0 - p) ** (x - 1.0),
         lambda x, p: 0.0 if x <= 1.0 else 1.0 - (1.0 - p) ** (x - 1.0),
     ),
     "normal": _Family(
         ("mean", "sd"),
         lambda mean, sd: sd > 0.0,
         "sd must be positive",
-        lambda np, x, mean, sd: np.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi)),
+        _normal_pdf,
         lambda x, mean, sd: 0.5 * (1.0 + math.erf((x - mean) / (sd * math.sqrt(2.0)))),
     ),
     "exponential": _Family(
         ("rate",),
         lambda rate: rate > 0.0,
         "rate must be positive",
-        lambda np, x, rate: np.where(x >= 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0),
+        lambda x, rate: 0.0 if x < 0.0 else rate * math.exp(-rate * x),
         lambda x, rate: 0.0 if x <= 0.0 else 1.0 - math.exp(-rate * x),
     ),
     "uniform": _Family(
         ("lower", "upper"),
         lambda lower, upper: lower < upper,
         "need lower < upper",
-        lambda np, x, lower, upper: np.where((lower <= x) & (x <= upper), 1.0 / (upper - lower), 0.0),
+        lambda x, lower, upper: 1.0 / (upper - lower) if lower <= x <= upper else 0.0,
         lambda x, lower, upper: min(1.0, max(0.0, (x - lower) / (upper - lower))),
     ),
 }
@@ -424,15 +419,9 @@ class DistFamily:
         """Parameter values in the family's parameter order."""
         return tuple(v for _, v in self.params)
 
-    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Density at ``x``: a float for a float, an array for an array."""
-        import numpy as np
-
-        # Far in a tail, a squared z-score or rate*x may overflow to inf,
-        # where exp gives the correct 0.
-        with np.errstate(over="ignore"):
-            density = _FAMILIES[self.name].pdf(np, np.asarray(x, dtype=float), *self.values)
-        return float(density) if density.ndim == 0 else density
+    def pdf(self, x: float) -> float:
+        """Density at ``x``."""
+        return _FAMILIES[self.name].pdf(float(x), *self.values)
 
     def cdf(self, x: float) -> float:
         """Cumulative coverage of the family's (normalized) decay profile."""
@@ -447,8 +436,8 @@ _COVERAGE_TOL = 1e-6
 def discretize(family: DistFamily, grid: GridSpec) -> GridDensity:
     """Rasterize a named family onto a uniform grid.
 
-    One array call evaluates the family density at every cell midpoint
-    ``origin + (i + 0.5) * delta``; the vector is then renormalized to unit
+    The family density is evaluated at every cell midpoint
+    ``origin + (i + 0.5) * delta``, and the values are renormalized to unit
     mass.  The grid must cover at least ``1 - 1e-6`` of the family's mass,
     otherwise :class:`InsufficientCoverageError` is raised.
     """
@@ -460,10 +449,9 @@ def discretize(family: DistFamily, grid: GridSpec) -> GridDensity:
         raise InsufficientCoverageError(
             f"grid covers {coverage:.9f} of the {family.name} mass, need >= {1.0 - _COVERAGE_TOL}"
         )
-    import numpy as np
-
-    midpoints = origin + (np.arange(count) + 0.5) * delta
-    return GridDensity.from_values(origin, delta, family.pdf(midpoints))
+    pdf, params = _FAMILIES[family.name].pdf, family.values
+    raw = [pdf(origin + (i + 0.5) * delta, *params) for i in range(count)]
+    return GridDensity.from_values(origin, delta, raw)
 
 
 def _smoothing_cdf_discrete(dist: DiscreteDist, epsilon: float):

@@ -124,10 +124,10 @@ def _scan(
 ) -> SearchResult:
     """Score every grid pmf on the joint support with ``evaluate_rows(rows, u, v)``,
     which divides ``rows`` by ``u**a * v**b``."""
-    import numpy as np
-
     if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
         raise RepresentationMismatchError("simplex searches take discrete inputs")
+    import numpy as np
+
     aligned = _align(p0, like).require_compatible()
     # Raises on a subnormal divisor, whose ratios would overflow.
     aligned.products(a, b)

@@ -29,6 +29,7 @@ def files(tmp_path):
         "far": write("far.json", {"kind": "discrete", "atoms": [["2", 0.5], ["3", 0.5]]}),
         "pm0": write("pm0.json", {"kind": "discrete", "atoms": [["0", 1.0]]}),
         "pm3": write("pm3.json", {"kind": "discrete", "atoms": [["3", 1.0]]}),
+        "grid": write("grid.json", {"kind": "grid", "origin": 0, "delta": 1, "densities": [1]}),
         "tmp": tmp_path,
         "write": write,
     }
@@ -136,6 +137,24 @@ class TestPosteriorCommand:
         assert out == ""
         assert err.startswith(f"error: {flag} must be positive")
 
+    @pytest.mark.parametrize("command", ["posterior", "loss", "verify"])
+    def test_weight_ratio_past_the_float_range_exits_two(self, capsys, files, command):
+        inputs = [files["prior"], files["like"]]
+        if command == "loss":
+            inputs.insert(0, files["prior"])
+        if command == "verify":
+            inputs += ["--objective", "weighted"]
+        code, out, err = run(capsys, command, *inputs, "--w0", "1e-300", "--wL", "1e300")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --w0 and --wL: weight ratio 1e-300 : 1e+300 is past the float range\n"
+
+    def test_one_weight_alone_exits_two(self, capsys, files):
+        code, out, err = run(capsys, "posterior", files["prior"], files["like"], "--w0", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --w0 and --wL must be given together\n"
+
     def test_reports_are_reproducible_modulo_timing(self, capsys, files):
         _, first, _ = run(capsys, "posterior", files["prior"], files["like"])
         _, second, _ = run(capsys, "posterior", files["prior"], files["like"])
@@ -230,6 +249,13 @@ class TestLossCommand:
         code, _, _ = run(capsys, "loss", files["prior"], files["prior"], files["far"])
         assert code == 3
 
+    def test_exhaustive_on_grids_exits_three(self, capsys, files):
+        grid = files["grid"]
+        code, out, err = run(capsys, "loss", grid, grid, grid, "--exhaustive")
+        assert code == 3
+        assert out == ""
+        assert err == "error: exhaustive enumeration is defined for discrete inputs\n"
+
 
 class TestVerifyCommand:
     def test_shannon_objective_passes(self, capsys, files):
@@ -302,6 +328,14 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert "not compatible" in err
+
+    @pytest.mark.parametrize("objective", ["shannon", "mlr"])
+    def test_grid_pair_exits_three(self, capsys, files, objective):
+        grid = files["grid"]
+        code, out, err = run(capsys, "verify", grid, grid, "--objective", objective)
+        assert code == 3
+        assert out == ""
+        assert err == "error: simplex searches take discrete inputs\n"
 
     def test_report_carries_scan_throughput(self, capsys, files):
         code, out, _ = run(capsys, "verify", files["prior"], files["like"], "--K", "50")
@@ -450,6 +484,23 @@ class TestCompatCommand:
         assert code == 0
         assert report_value(out, "compatible") == "true"
         assert report_value(out, "overlap_mass") == "0.5"
+
+    def test_family_missing_its_coverage_exits_two(self, capsys, files):
+        narrow = files["write"](
+            "narrow.json",
+            {
+                "kind": "family",
+                "family": "normal",
+                "params": {"mean": 0, "sd": 1},
+                "grid": {"origin": -1, "delta": 0.5, "cells": 4},
+            },
+        )
+        code, out, err = run(capsys, "compat", narrow, narrow)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {narrow}: grid covers 0.682689492 of the normal mass, need >= 0.999999\n"
+        )
 
     def test_disjoint_pair_reports_false(self, capsys, files):
         code, out, _ = run(capsys, "compat", files["prior"], files["far"])

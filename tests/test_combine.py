@@ -1,6 +1,7 @@
 """Posterior combiners: product rule, weighted rule, baselines, compatibility."""
 
 import math
+import sys
 
 import pytest
 
@@ -137,6 +138,19 @@ class TestWeightedPosterior:
         with pytest.raises(ValueError):
             WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 1.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "w0, wL", [(1e-300, 1e300), (1e300, 1e-300), (1.0, 1e308), (sys.float_info.min / 2, 1.0)]
+    )
+    def test_weight_ratio_past_the_float_range_is_rejected(self, w0, wL):
+        # The smaller exponent would be 0.0 or subnormal: a positive weight
+        # that acts as zero.
+        with pytest.raises(ValueError, match="past the float range"):
+            WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, w0, wL)
+
+    def test_smallest_normal_exponent_is_kept(self):
+        pair = WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, sys.float_info.min, 1.0)
+        assert pair.exponents == (sys.float_info.min, 1.0)
+
     def test_grid_weighted_matches_pointwise_formula(self):
         grid = (-8.0, 0.01, 1700)
         g0 = discretize(DistFamily.normal(0.0, 1.0), grid)
@@ -161,6 +175,11 @@ class TestLinearPool:
         pool = linear_pool(TWO_ATOM_PRIOR, TWO_ATOM_LIKE)
         assert pool.masses == (0.65, 0.35)
 
+    def test_grids_average_cell_by_cell(self):
+        a = GridDensity(0.0, 0.5, (2.0, 0.0))
+        b = GridDensity(0.0, 0.5, (0.5, 1.5))
+        assert linear_pool(a, b) == GridDensity(0.0, 0.5, (1.25, 0.75))
+
 
 class TestProportionality:
     def test_product_rule_is_proportional_everywhere(self, corpus):
@@ -182,3 +201,8 @@ class TestProportionality:
         far = DiscreteDist((("2", 0.5), ("3", 0.5)))
         with pytest.raises(IncompatibleError):
             proportionality_check(TWO_ATOM_PRIOR, TWO_ATOM_PRIOR, far, 1e-12)
+
+    def test_mass_off_the_joint_support_is_not_proportional(self):
+        # On the joint support the masses 0.4 and 0.1 have the product's ratio.
+        stray = DiscreteDist((("0", 0.4), ("1", 0.1), ("7", 0.5)))
+        assert not proportionality_check(stray, TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 1e-12)

@@ -2,8 +2,8 @@
 no module imports a name it never uses.
 
 Each numpy case runs in a fresh interpreter, since this test process has
-numpy loaded already.  The family, scan and exhaustive cases check that the
-probe can see numpy being loaded.
+numpy loaded already.  The smoothing, scan and exhaustive cases check that
+the probe can see numpy being loaded.
 """
 
 import ast
@@ -100,7 +100,11 @@ def test_importing_the_package_leaves_numpy_unloaded(code):
         (["mlr", "post", "prior", "like"], False),
         (["compat", "grid", "grid"], False),
         (["posterior", "grid", "grid", "--out", "out"], False),
-        (["compat", "family", "family"], True),
+        (["compat", "family", "family"], False),
+        (["posterior", "family", "family", "--out", "out"], False),
+        (["loss", "family", "family", "family"], False),
+        (["mlr", "family", "family", "family"], False),
+        (["smooth", "prior", "--epsilon", "0.5", "--delta", "0.25", "--out", "out"], True),
         (["loss", "post", "prior", "like", "--exhaustive"], True),
         (["verify", "prior", "like", "--K", "4"], True),
     ],
@@ -109,6 +113,10 @@ def test_importing_the_package_leaves_numpy_unloaded(code):
 def test_cli_loads_numpy_only_for_families_scans_and_exhaustive_loss(paths, argv, numpy):
     result = probe(_RUN_CLI, *(paths.get(arg, arg) for arg in argv))
     assert result == {"rc": 0, "numpy": numpy}
+
+
+def test_verify_rejects_grids_before_loading_numpy(paths):
+    assert probe(_RUN_CLI, "verify", paths["grid"], paths["grid"]) == {"rc": 3, "numpy": False}
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -144,9 +144,12 @@ class TestMaxLoss:
 
     def test_mass_off_the_joint_support_is_infinitely_bad(self):
         stray = DiscreteDist((("0", 0.5), ("5", 0.5)))
-        report = max_loss(stray, TWO_ATOM_PRIOR, TWO_ATOM_LIKE)
-        assert report.value == math.inf
-        assert not report.attained
+        for loss in (max_loss, max_loss_exhaustive):
+            report = loss(stray, TWO_ATOM_PRIOR, TWO_ATOM_LIKE)
+            assert report.value == math.inf
+            assert report.witness == Event.of("5")
+            assert report.lower_bound == 1.0
+            assert not report.attained
 
     def test_incompatible_raises(self):
         far = DiscreteDist((("2", 0.5), ("3", 0.5)))
