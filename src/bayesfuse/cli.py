@@ -14,9 +14,9 @@ Reports are line-oriented ``key = value`` text, or a JSON object with
 reported number re-parses to the library's value bit for bit; in JSON,
 non-finite values are the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 
-numpy is imported only by the commands that do array work: ``smooth``,
-``verify`` and ``loss --exhaustive``.  ``compat``, ``posterior``, ``loss``
-and ``mlr`` run on the standard library alone, on every file kind.
+numpy is imported only by the brute-force oracles: ``verify`` and
+``loss --exhaustive``.  ``compat``, ``posterior``, ``loss``, ``mlr`` and
+``smooth`` run on the standard library alone, on every file kind.
 
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
 closed form), 1 verification failure, 2 unreadable or malformed input

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
-from operator import lt
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from itertools import accumulate
+from operator import add, lt
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     AllZeroMassError,
@@ -29,11 +31,6 @@ from .errors import (
     NonFiniteError,
     TooLargeError,
 )
-
-# numpy is imported inside the smoothing code only, so that every file kind
-# loads on the standard library alone.
-if TYPE_CHECKING:
-    import numpy as np
 
 DISCRETE_MASS_TOL = 1e-9
 GRID_MASS_TOL = 1e-6
@@ -455,62 +452,63 @@ def discretize(family: DistFamily, grid: GridSpec) -> GridDensity:
 
 
 def _smoothing_cdf_discrete(dist: DiscreteDist, epsilon: float):
-    import numpy as np
-
-    thetas = [float(k) for k in dist.keys]
+    # A zero-mass atom has no smoothed support: it adds nothing to the CDF
+    # and does not stretch the default extent.
+    points = [(float(key), mass) for key, mass in dist.atoms if mass > 0.0]
     width = 2.0 * epsilon
 
-    def cdf(x: np.ndarray) -> np.ndarray:
+    def cdf(edges: list[float]) -> list[float]:
         # An atom's smoothed CDF is 0 up to theta - epsilon, then the ramp
         # mass * t, then mass from the first edge where t reaches 1.  Ramps
-        # are added on their slices of the edges; the full masses are steps
-        # summed in one cumsum.
-        ramps = np.zeros(x.size)
-        steps = np.zeros(x.size + 1)
-        for theta, mass in zip(thetas, dist.masses):
+        # are added on their runs of edges; the full masses are steps
+        # summed in one running sum.
+        ramps = [0.0] * len(edges)
+        steps = [0.0] * (len(edges) + 1)
+        for theta, mass in points:
             lo = theta - epsilon
-            start = int(np.searchsorted(x, lo, side="right"))
+            start = bisect_right(edges, lo)
             # One edge past theta + epsilon, t >= 1 unless the cell width is
             # below the rounding error of theta.
-            stop = int(np.searchsorted(x, theta + epsilon, side="right")) + 1
-            t = (x[start:stop] - lo) / width
-            stop = start + int(np.searchsorted(t, 1.0))
-            ramps[start:stop] += mass * t[: stop - start]
+            stop = bisect_right(edges, theta + epsilon) + 1
+            t = [(x - lo) / width for x in edges[start:stop]]
+            stop = start + bisect_left(t, 1.0)
+            for i in range(start, stop):
+                ramps[i] += mass * t[i - start]
             steps[stop] += mass
-        return ramps + np.cumsum(steps)[:-1]
+        return list(map(add, ramps, accumulate(steps)))
 
-    return cdf, min(thetas) - epsilon, max(thetas) + epsilon
+    # Atoms are in ascending order.
+    return cdf, points[0][0] - epsilon, points[-1][0] + epsilon
 
 
 def _smoothing_cdf_grid(dist: GridDensity, epsilon: float):
     # Convolving a piecewise-constant density with a uniform kernel gives a
     # piecewise-linear density; its CDF is evaluated through G, the running
     # integral of the input CDF (piecewise quadratic, exact).
-    import numpy as np
-
     origin, delta, end = dist.origin, dist.delta, dist.end
-    densities = np.array(dist.densities, dtype=float)
-    cdf_nodes = np.concatenate(([0.0], np.cumsum(densities * delta)))
-    # G grows by cdf * delta, then by density * delta**2 / 2, in each cell;
-    # one cumsum over the interleaved terms adds them in that order.
-    terms = np.empty(2 * densities.size)
-    terms[0::2] = cdf_nodes[:-1] * delta
-    terms[1::2] = densities * delta * delta / 2.0
-    g_nodes = np.concatenate(([0.0], np.cumsum(terms)[1::2]))
+    densities, last = dist.densities, dist.n_cells - 1
+    width = 2.0 * epsilon
+    cdf_nodes = list(accumulate((d * delta for d in densities), initial=0.0))
+    # G grows by cdf * delta, then by density * delta**2 / 2, in each cell.
+    g_nodes = [0.0]
+    for c, d in zip(cdf_nodes, densities):
+        g_nodes.append(g_nodes[-1] + c * delta + d * delta * delta / 2.0)
     total = cdf_nodes[-1]
 
-    def integral_of_cdf(x: np.ndarray) -> np.ndarray:
+    def integral_of_cdf(x: float) -> float:
         # G(x) = integral of the input CDF from the grid origin up to x.
-        g = np.where(x >= end, g_nodes[-1] + (x - end) * total, 0.0)
-        inside = (x > origin) & (x < end)
-        xi = x[inside]
-        i = np.minimum(((xi - origin) / delta).astype(np.intp), densities.size - 1)
-        dx = xi - (origin + i * delta)
-        g[inside] = g_nodes[i] + cdf_nodes[i] * dx + densities[i] * dx * dx / 2.0
-        return g
+        if x >= end:
+            return g_nodes[-1] + (x - end) * total
+        if x <= origin:
+            return 0.0
+        i = min(int((x - origin) / delta), last)
+        dx = x - (origin + i * delta)
+        return g_nodes[i] + cdf_nodes[i] * dx + densities[i] * dx * dx / 2.0
 
-    def cdf(x: np.ndarray) -> np.ndarray:
-        return (integral_of_cdf(x + epsilon) - integral_of_cdf(x - epsilon)) / (2.0 * epsilon)
+    def cdf(edges: list[float]) -> list[float]:
+        return [
+            (integral_of_cdf(x + epsilon) - integral_of_cdf(x - epsilon)) / width for x in edges
+        ]
 
     return cdf, origin - epsilon, end + epsilon
 
@@ -534,21 +532,22 @@ def smooth_uniform(
 
     The exact convolution is rasterized onto a grid of cell width
     ``delta_out`` by cell averaging, which preserves total mass: the
-    smoothed CDF is evaluated at all ``cells + 1`` edges in one array pass
-    and differenced.  The cell width must divide ``2 * epsilon`` within
+    smoothed CDF is evaluated at all ``cells + 1`` edges in one pass and
+    differenced.  The cell width must divide ``2 * epsilon`` within
     ``1e-12`` so that a single smoothed point mass spans a whole number of
     cells.
 
     By default the output grid is snapped to multiples of ``delta_out``
-    and spans the smoothed support.  Pass ``origin`` and ``cells`` to
-    force a specific extent, e.g. to place two smoothed distributions on
-    one shared grid so they can be conflated afterwards.  A non-finite
+    and spans the smoothed support, to which a zero-mass atom adds
+    nothing.  Pass ``origin`` and ``cells`` to force a specific extent,
+    e.g. to place two smoothed distributions on one shared grid so they
+    can be conflated afterwards.  A non-finite
     ``origin`` raises :class:`ValueError`, and an extent that captures
     less than ``1 - 1e-6`` of the smoothed mass raises
     :class:`InsufficientCoverageError`.  A window or extent past the float
     range, in cells or in position, raises :class:`NonFiniteError`, and an
     output grid of more than ``10**7`` cells raises :class:`TooLargeError`
-    before any array is allocated.
+    before any edge is evaluated.
     """
     epsilon = float(epsilon)
     delta_out = float(delta_out)
@@ -581,11 +580,10 @@ def smooth_uniform(
         raise TooLargeError(f"output grid has more than the {SMOOTH_MAX_CELLS} cells smoothing allows")
     if not math.isfinite(origin + cells * delta_out):
         raise NonFiniteError("smoothing extent is past the float range")
-    import numpy as np
-
-    densities = np.diff(cdf(origin + np.arange(cells + 1) * delta_out)) / delta_out
+    at_edges = cdf([origin + j * delta_out for j in range(cells + 1)])
+    densities = [(b - a) / delta_out for a, b in zip(at_edges, at_edges[1:])]
     # `d > 0` also maps -0.0 and NaN to 0.0, as max(0.0, d) does.
-    densities = np.where(densities > 0.0, densities, 0.0).tolist()
+    densities = [d if d > 0.0 else 0.0 for d in densities]
     captured = delta_out * math.fsum(densities)
     if abs(captured - 1.0) > GRID_MASS_TOL:
         raise InsufficientCoverageError(

@@ -84,18 +84,6 @@ def payload_to_distribution(payload) -> Distribution:
     raise FileFormatError(f"unknown distribution kind {kind!r}")
 
 
-def distribution_to_payload(dist: Distribution) -> dict:
-    """The JSON payload of a distribution; files hold ``json.dumps(payload, indent=2)``."""
-    if isinstance(dist, DiscreteDist):
-        return {"kind": "discrete", "atoms": [[k, m] for k, m in dist.atoms]}
-    return {
-        "kind": "grid",
-        "origin": dist.origin,
-        "delta": dist.delta,
-        "densities": list(dist.densities),
-    }
-
-
 def load_distribution(path: str | Path, data: bytes | None = None) -> Distribution:
     """Parse the distribution file at ``path``.
 
@@ -126,7 +114,8 @@ def _json_number(value) -> str:
 
 
 def _indented_json(dist: Distribution) -> str:
-    """``json.dumps(distribution_to_payload(dist), indent=2)``, built directly.
+    """``json.dumps(payload, indent=2)`` of the payload that
+    ``docs/file-format.md`` (Written files) defines, built directly.
 
     With ``indent`` json encodes in pure Python, one call per value; the
     layout of a payload is fixed, so it is written out here instead.
@@ -147,5 +136,6 @@ def _indented_json(dist: Distribution) -> str:
 
 
 def save_distribution(dist: Distribution, path: str | Path) -> None:
-    """Write ``dist`` as ``json.dumps(distribution_to_payload(dist), indent=2)`` and a newline."""
+    """Write ``dist`` in the layout of ``docs/file-format.md`` (Written files):
+    ``json.dumps(payload, indent=2)`` and a newline."""
     Path(path).write_text(_indented_json(dist) + "\n", encoding="utf-8")

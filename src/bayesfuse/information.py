@@ -67,26 +67,23 @@ class Event:
 class LossReport:
     """Value of a maximum-loss functional with its witness and lower bound.
 
-    ``attained`` records whether the value meets the theoretical lower
-    bound within ``1e-9`` bits; the value can never fall below the bound.
+    The value can never fall below the bound.
     """
 
     value: float
     witness: Event
     lower_bound: float
-    attained: bool
 
     def __post_init__(self) -> None:
         if self.value < 0.0:
             raise ValueError("a maximum loss cannot be negative")
         if self.value < self.lower_bound - 1e-12:
             raise ValueError("loss value fell below the theoretical lower bound")
-        expected = (
-            math.isfinite(self.value)
-            and abs(self.value - self.lower_bound) <= ATTAINMENT_TOL
-        )
-        if self.attained != expected:
-            raise ValueError("attained flag contradicts value and lower bound")
+
+    @property
+    def attained(self) -> bool:
+        """Whether the value meets the theoretical lower bound within ``1e-9`` bits."""
+        return math.isfinite(self.value) and abs(self.value - self.lower_bound) <= ATTAINMENT_TOL
 
 
 def _event_prob(dist: Distribution, event: Event) -> float:
@@ -135,14 +132,15 @@ def weighted_combined_info(pair: WeightedPair, event: Event) -> float:
 def _weighted_bound(u, v, a: float, b: float) -> float:
     """``-log2 sum(u**a * v**b)``; when a term is subnormal, and so has lost
     bits, the terms are summed scaled by the largest ``a*log2(u) + b*log2(v)``."""
-    if min(_joint_terms(u, v, a, b), default=_MIN_NORMAL) < _MIN_NORMAL:
+    terms = list(_joint_terms(u, v, a, b))
+    if min(terms, default=_MIN_NORMAL) < _MIN_NORMAL:
 
         def logs():
             return (a * math.log2(x) + b * math.log2(y) for x, y in zip(u, v))
 
         top = max(logs())
         return -(top + math.log2(math.fsum(2.0 ** (w - top) for w in logs())))
-    normalizer = math.fsum(_joint_terms(u, v, a, b))
+    normalizer = math.fsum(terms)
     if normalizer == 0.0 or not math.isfinite(normalizer):
         raise DegenerateProductError(
             f"weighted product has total mass {normalizer!r}"
@@ -157,7 +155,7 @@ def _singleton_max_loss(
     labels, (u, v, q) = aligned.labels, aligned.cell_masses()
     lower_bound = _weighted_bound(u, v, a, b)
     if aligned.strays:
-        return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound, False)
+        return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound)
     best_value = -math.inf
     best_label = None
     # Under ties the witness is the smallest atom key (as text) or cell index.
@@ -170,9 +168,7 @@ def _singleton_max_loss(
         if value > best_value:
             best_value = value
             best_label = labels[i]
-    value = max(best_value, 0.0)
-    attained = abs(value - lower_bound) <= ATTAINMENT_TOL
-    return LossReport(value, Event.of(best_label), lower_bound, attained)
+    return LossReport(max(best_value, 0.0), Event.of(best_label), lower_bound)
 
 
 def max_loss(p1: Distribution, p0: Distribution, like: Distribution) -> LossReport:
@@ -222,7 +218,7 @@ def _exhaustive_max_loss(
         )
     lower_bound = _weighted_bound(u, v, a, b)
     if aligned.strays:
-        return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound, False)
+        return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound)
     import numpy as np
 
     prior_sums = _subset_sums(u)[1:]
@@ -232,8 +228,7 @@ def _exhaustive_max_loss(
         losses = np.log2(post_sums) - a * np.log2(prior_sums) - b * np.log2(like_sums)
     best = int(np.argmax(losses))
     value = max(float(losses[best]), 0.0)
-    attained = math.isfinite(value) and abs(value - lower_bound) <= ATTAINMENT_TOL
-    return LossReport(value, _mask_event(best + 1, labels), lower_bound, attained)
+    return LossReport(value, _mask_event(best + 1, labels), lower_bound)
 
 
 def max_loss_exhaustive(

@@ -305,7 +305,7 @@ class TestVerifyCommand:
         real = search.weighted_max_loss_exhaustive
 
         def skewed(p1, pair):
-            return dataclasses.replace(real(p1, pair), value=5.0, attained=False)
+            return dataclasses.replace(real(p1, pair), value=5.0)
 
         monkeypatch.setattr(search, "weighted_max_loss_exhaustive", skewed)
         code, out, err = run(capsys, "verify", files["prior"], files["like"], "--K", "20")

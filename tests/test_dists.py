@@ -55,7 +55,7 @@ def _reference_discretize(family, grid):
 def _reference_smoothing_cdf(dist, epsilon):
     """The smoothed CDF as one Python function per point, with math.fsum."""
     if isinstance(dist, DiscreteDist):
-        points = [(float(k), m) for k, m in dist.atoms]
+        points = [(float(k), m) for k, m in dist.atoms if m > 0.0]
 
         def cdf(x):
             acc = []
@@ -100,7 +100,83 @@ def _reference_smooth(dist, epsilon, delta_out):
     return origin, [max(0.0, (b - a) / delta_out) for a, b in zip(at_edges, at_edges[1:])]
 
 
+def _array_smoothing_cdf_discrete(dist, epsilon):
+    """The numpy smoothed CDF of a discrete distribution that the list code
+    replaced, kept as the reference it must equal bit for bit.  Its extent
+    still spans zero-mass atoms, which the drawn inputs never have."""
+    thetas = [float(k) for k in dist.keys]
+    width = 2.0 * epsilon
+
+    def cdf(x: np.ndarray) -> np.ndarray:
+        # An atom's smoothed CDF is 0 up to theta - epsilon, then the ramp
+        # mass * t, then mass from the first edge where t reaches 1.  Ramps
+        # are added on their slices of the edges; the full masses are steps
+        # summed in one cumsum.
+        ramps = np.zeros(x.size)
+        steps = np.zeros(x.size + 1)
+        for theta, mass in zip(thetas, dist.masses):
+            lo = theta - epsilon
+            start = int(np.searchsorted(x, lo, side="right"))
+            # One edge past theta + epsilon, t >= 1 unless the cell width is
+            # below the rounding error of theta.
+            stop = int(np.searchsorted(x, theta + epsilon, side="right")) + 1
+            t = (x[start:stop] - lo) / width
+            stop = start + int(np.searchsorted(t, 1.0))
+            ramps[start:stop] += mass * t[: stop - start]
+            steps[stop] += mass
+        return ramps + np.cumsum(steps)[:-1]
+
+    return cdf, min(thetas) - epsilon, max(thetas) + epsilon
+
+
+def _array_smoothing_cdf_grid(dist, epsilon):
+    """The numpy smoothed CDF of a grid density that the list code replaced,
+    kept as the reference it must equal bit for bit."""
+    # Convolving a piecewise-constant density with a uniform kernel gives a
+    # piecewise-linear density; its CDF is evaluated through G, the running
+    # integral of the input CDF (piecewise quadratic, exact).
+    origin, delta, end = dist.origin, dist.delta, dist.end
+    densities = np.array(dist.densities, dtype=float)
+    cdf_nodes = np.concatenate(([0.0], np.cumsum(densities * delta)))
+    # G grows by cdf * delta, then by density * delta**2 / 2, in each cell;
+    # one cumsum over the interleaved terms adds them in that order.
+    terms = np.empty(2 * densities.size)
+    terms[0::2] = cdf_nodes[:-1] * delta
+    terms[1::2] = densities * delta * delta / 2.0
+    g_nodes = np.concatenate(([0.0], np.cumsum(terms)[1::2]))
+    total = cdf_nodes[-1]
+
+    def integral_of_cdf(x: np.ndarray) -> np.ndarray:
+        # G(x) = integral of the input CDF from the grid origin up to x.
+        g = np.where(x >= end, g_nodes[-1] + (x - end) * total, 0.0)
+        inside = (x > origin) & (x < end)
+        xi = x[inside]
+        i = np.minimum(((xi - origin) / delta).astype(np.intp), densities.size - 1)
+        dx = xi - (origin + i * delta)
+        g[inside] = g_nodes[i] + cdf_nodes[i] * dx + densities[i] * dx * dx / 2.0
+        return g
+
+    def cdf(x: np.ndarray) -> np.ndarray:
+        return (integral_of_cdf(x + epsilon) - integral_of_cdf(x - epsilon)) / (2.0 * epsilon)
+
+    return cdf, origin - epsilon, end + epsilon
+
+
+def _array_smooth(dist, epsilon, delta_out):
+    """Array smoothing onto the default grid, one pass over all edges: (origin, densities)."""
+    if isinstance(dist, DiscreteDist):
+        cdf, lo, hi = _array_smoothing_cdf_discrete(dist, epsilon)
+    else:
+        cdf, lo, hi = _array_smoothing_cdf_grid(dist, epsilon)
+    origin = math.floor(lo / delta_out + 1e-12) * delta_out
+    cells = max(1, math.ceil((hi - origin) / delta_out - 1e-12))
+    densities = np.diff(cdf(origin + np.arange(cells + 1) * delta_out)) / delta_out
+    return origin, tuple(np.where(densities > 0.0, densities, 0.0).tolist())
+
+
 def _assert_matches_reference(dist, epsilon, delta_out):
+    """Check ``smooth_uniform`` against the fsum reference; return its result
+    and the reference densities."""
     sm = smooth_uniform(dist, epsilon, delta_out)
     origin, densities = _reference_smooth(dist, epsilon, delta_out)
     assert sm.origin == origin
@@ -109,7 +185,7 @@ def _assert_matches_reference(dist, epsilon, delta_out):
     expected = np.array(densities) * delta_out
     assert np.abs(masses - expected).max() <= 1e-13
     assert abs(sm.total_mass() - delta_out * math.fsum(densities)) <= GRID_MASS_TOL
-    return sm.densities, tuple(densities)
+    return sm, tuple(densities)
 
 
 def _reference_canonical_key(value):
@@ -579,6 +655,20 @@ class TestSmoothUniform:
         assert all(v == 0.0 for v in mid)
         assert sm.densities[0] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            (("0", 1.0), ("1000", 0.0)),
+            (("0", 1.0), ("100000000", 0.0)),
+            (("-1000", 0.0), ("0", 1.0), ("5", 0.0)),
+        ],
+    )
+    def test_zero_mass_atom_does_not_stretch_the_extent(self, atoms):
+        dist = DiscreteDist(atoms)
+        sm = smooth_uniform(dist, 0.5, 0.25)
+        assert (sm.origin, sm.densities) == (-0.5, (1.0, 1.0, 1.0, 1.0))
+        assert _reference_smooth(dist, 0.5, 0.25) == (-0.5, [1.0, 1.0, 1.0, 1.0])
+
     def test_resolution_must_divide_window(self):
         with pytest.raises(BadResolutionError):
             smooth_uniform(DiscreteDist((("0", 1.0),)), 0.3, 0.25)
@@ -672,11 +762,14 @@ class TestSmoothingMatchesTheReference:
     @settings(deadline=None, max_examples=60)
     @given(_discrete_inputs())
     def test_discrete_branch(self, case):
-        _assert_matches_reference(*case)
+        """Within 1e-13 of the fsum reference, and bit for bit the array algorithm."""
+        sm, _ = _assert_matches_reference(*case)
+        assert (sm.origin, sm.densities) == _array_smooth(*case)
 
     @settings(deadline=None, max_examples=60)
     @given(_grid_inputs())
     def test_grid_branch(self, case):
-        """The array pass adds the same terms in the same order: bit for bit."""
-        got, expected = _assert_matches_reference(*case)
-        assert got == expected
+        """Both references add the same terms in the same order: bit for bit."""
+        sm, expected = _assert_matches_reference(*case)
+        assert sm.densities == expected
+        assert (sm.origin, sm.densities) == _array_smooth(*case)

@@ -19,7 +19,20 @@ from bayesfuse import (
     load_distribution,
     save_distribution,
 )
-from bayesfuse.fileio import distribution_to_payload
+
+
+def distribution_to_payload(dist):
+    """The JSON payload of a distribution, as ``docs/file-format.md`` defines it;
+    written files hold ``json.dumps(payload, indent=2)`` and a newline."""
+    if isinstance(dist, DiscreteDist):
+        return {"kind": "discrete", "atoms": [[k, m] for k, m in dist.atoms]}
+    return {
+        "kind": "grid",
+        "origin": dist.origin,
+        "delta": dist.delta,
+        "densities": list(dist.densities),
+    }
+
 
 # Subnormals, -0.0, and floats that need all 17 significant digits; at
 # most 0.05, so that eleven of them leave room for a first mass.

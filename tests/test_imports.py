@@ -1,9 +1,12 @@
-"""Discrete commands and the package import run without loading numpy, and
-no module imports a name it never uses.
+"""Only the brute-force oracles load numpy, and no module imports a name it
+never uses.
 
-Each numpy case runs in a fresh interpreter, since this test process has
-numpy loaded already.  The smoothing, scan and exhaustive cases check that
-the probe can see numpy being loaded.
+numpy is imported by ``search.py`` (the simplex scans of ``verify``) and
+``information.py`` (``loss --exhaustive``) alone: the package import, every
+file kind and every other command, ``smooth`` included, run on the
+standard library.  Each numpy case runs in a fresh interpreter, since this
+test process has numpy loaded already.  The scan and exhaustive cases
+check that the probe can see numpy being loaded.
 """
 
 import ast
@@ -46,6 +49,14 @@ def probe(code: str, *argv: str) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _package_sources() -> dict[str, str]:
+    """The source of every module of the package, by file name."""
+    return {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted((SRC / "bayesfuse").glob("*.py"))
+    }
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +115,9 @@ def test_importing_the_package_leaves_numpy_unloaded(code):
         (["posterior", "family", "family", "--out", "out"], False),
         (["loss", "family", "family", "family"], False),
         (["mlr", "family", "family", "family"], False),
-        (["smooth", "prior", "--epsilon", "0.5", "--delta", "0.25", "--out", "out"], True),
+        (["smooth", "prior", "--epsilon", "0.5", "--delta", "0.25", "--out", "out"], False),
+        (["smooth", "grid", "--epsilon", "0.5", "--delta", "0.5", "--out", "out"], False),
+        (["smooth", "family", "--epsilon", "0.5", "--delta", "0.25", "--out", "out"], False),
         (["loss", "post", "prior", "like", "--exhaustive"], True),
         (["verify", "prior", "like", "--K", "4"], True),
     ],
@@ -117,6 +130,42 @@ def test_cli_loads_numpy_only_for_families_scans_and_exhaustive_loss(paths, argv
 
 def test_verify_rejects_grids_before_loading_numpy(paths):
     assert probe(_RUN_CLI, "verify", paths["grid"], paths["grid"]) == {"rc": 3, "numpy": False}
+
+
+def _numpy_importers(sources: dict[str, str]) -> list[str]:
+    """Modules that import numpy anywhere: at the top, in a function or
+    under ``if TYPE_CHECKING``."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(module)
+                break
+    return sorted(found)
+
+
+def test_only_the_brute_force_oracles_import_numpy():
+    assert _numpy_importers(_package_sources()) == ["information.py", "search.py"]
+
+
+def test_numpy_import_guard_sees_nested_and_type_checking_imports():
+    sources = {
+        "a.py": "def f():\n    import numpy as np\n    return np\n",
+        "b.py": (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from numpy import ndarray\n"
+        ),
+        "c.py": "import numpy.linalg\n",
+        "d.py": "import numpydoc\nfrom . import numpy\n",
+    }
+    assert _numpy_importers(sources) == ["a.py", "b.py", "c.py"]
 
 
 def test_every_public_name_resolves_and_is_listed():
@@ -219,11 +268,7 @@ def _dead_private_names(sources: dict[str, str]) -> list[str]:
 
 
 def test_every_private_module_name_is_read_in_the_package():
-    sources = {
-        path.name: path.read_text(encoding="utf-8")
-        for path in sorted((SRC / "bayesfuse").glob("*.py"))
-    }
-    assert _dead_private_names(sources) == []
+    assert _dead_private_names(_package_sources()) == []
 
 
 def test_dead_private_name_guard_sees_a_leftover():

@@ -293,15 +293,26 @@ class TestBoundOverSubnormalTerms:
 class TestLossReportInvariants:
     def test_value_below_bound_is_rejected(self):
         with pytest.raises(ValueError):
-            LossReport(value=0.5, witness=Event.of("0"), lower_bound=1.0, attained=False)
+            LossReport(value=0.5, witness=Event.of("0"), lower_bound=1.0)
 
-    def test_attained_flag_must_match(self):
-        with pytest.raises(ValueError):
-            LossReport(value=2.0, witness=Event.of("0"), lower_bound=1.0, attained=True)
+    @pytest.mark.parametrize(
+        "value, lower_bound, attained",
+        [
+            (1.0, 1.0, True),
+            (1e-9, 0.0, True),
+            (1.0 + 2e-9, 1.0, False),
+            (2.0, 1.0, False),
+            (1.0, 1.0 + 5e-13, True),
+            (math.inf, 1.0, False),
+        ],
+    )
+    def test_attained_follows_the_value_and_the_bound(self, value, lower_bound, attained):
+        report = LossReport(value=value, witness=Event.of("0"), lower_bound=lower_bound)
+        assert report.attained is attained
 
     def test_negative_value_is_rejected(self):
         with pytest.raises(ValueError):
-            LossReport(value=-0.1, witness=Event.of("0"), lower_bound=-0.2, attained=False)
+            LossReport(value=-0.1, witness=Event.of("0"), lower_bound=-0.2)
 
 
 def _cell_masses(g: GridDensity) -> DiscreteDist:

@@ -161,7 +161,7 @@ class TestMinimizeMaxLoss:
         real = search.weighted_max_loss_exhaustive
 
         def skewed(p1, pair):
-            return dataclasses.replace(real(p1, pair), value=2.0, attained=False)
+            return dataclasses.replace(real(p1, pair), value=2.0)
 
         monkeypatch.setattr(search, "weighted_max_loss_exhaustive", skewed)
         with pytest.raises(CrossCheckError, match=r"disagrees .* by [\d.e+-]+ bits"):
