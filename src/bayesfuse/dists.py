@@ -510,7 +510,11 @@ def _smoothing_cdf_grid(dist: GridDensity, epsilon: float):
             (integral_of_cdf(x + epsilon) - integral_of_cdf(x - epsilon)) / width for x in edges
         ]
 
-    return cdf, origin - epsilon, end + epsilon
+    # Zero-density cells at the ends have no smoothed support: the default
+    # extent spans the first to the last positive cell.
+    first = next(i for i, d in enumerate(densities) if d > 0.0)
+    stop = next(i for i in range(last, -1, -1) if densities[i] > 0.0) + 1
+    return cdf, origin + first * delta - epsilon, origin + stop * delta + epsilon
 
 
 def _whole_cells(cells: float, rounding: Callable[[float], int], what: str) -> int:
@@ -538,10 +542,10 @@ def smooth_uniform(
     cells.
 
     By default the output grid is snapped to multiples of ``delta_out``
-    and spans the smoothed support, to which a zero-mass atom adds
-    nothing.  Pass ``origin`` and ``cells`` to force a specific extent,
-    e.g. to place two smoothed distributions on one shared grid so they
-    can be conflated afterwards.  A non-finite
+    and spans the smoothed support, to which a zero-mass atom or a
+    zero-density end cell adds nothing.  Pass ``origin`` and ``cells`` to
+    force a specific extent, e.g. to place two smoothed distributions on
+    one shared grid so they can be conflated afterwards.  A non-finite
     ``origin`` raises :class:`ValueError`, and an extent that captures
     less than ``1 - 1e-6`` of the smoothed mass raises
     :class:`InsufficientCoverageError`.  A window or extent past the float

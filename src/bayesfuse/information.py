@@ -19,9 +19,11 @@ events as an independent check of the reduction.  Grid densities are
 handled through whole-cell events, i.e. as the discrete functional applied
 to cell masses.
 
-Everything here is a pure function over immutable values; the exhaustive
-enumeration is a single deterministic pass, so results never depend on how
-work would be partitioned.
+Everything here is a pure function over immutable values.  The exhaustive
+enumeration scores the events in fixed blocks of at most 16384 masks, in
+increasing mask order, with the same additions in the same order whatever
+the block size, so results do not depend on it and memory stays bounded by
+one block.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 EXHAUSTIVE_MAX_ATOMS = 20
+
+# Rows per block of both brute-force oracles, the simplex scan and the
+# exhaustive enumeration; the latter uses its largest power of two.
+_CHUNK_SIZE = 16384
 
 ATTAINMENT_TOL = 1e-9
 
@@ -200,6 +206,13 @@ def _subset_sums(values) -> np.ndarray:
     return sums
 
 
+def _block_sums(low_sums: np.ndarray, high_values, high: int) -> np.ndarray:
+    for i, value in enumerate(high_values):
+        if high >> i & 1:
+            low_sums = low_sums + value
+    return low_sums
+
+
 def _mask_event(mask: int, labels) -> Event:
     return Event(frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1))
 
@@ -221,14 +234,25 @@ def _exhaustive_max_loss(
         return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound)
     import numpy as np
 
-    prior_sums = _subset_sums(u)[1:]
-    like_sums = _subset_sums(v)[1:]
-    post_sums = _subset_sums(q)[1:]
-    with np.errstate(divide="ignore"):
-        losses = np.log2(post_sums) - a * np.log2(prior_sums) - b * np.log2(like_sums)
-    best = int(np.argmax(losses))
-    value = max(float(losses[best]), 0.0)
-    return LossReport(value, _mask_event(best + 1, labels), lower_bound)
+    # A block holds the 2**low masks that share their high bits: the subset
+    # sums of the low atoms plus the block's high atoms, added one at a time
+    # in index order as _subset_sums adds them, so every sum keeps its bits.
+    # Blocks run in increasing mask order and a later maximum must be strictly
+    # larger, so the witness is the lowest mask, as np.argmax gives.
+    low = min(n, _CHUNK_SIZE.bit_length() - 1)
+    low_sums = [_subset_sums(x[:low]) for x in (u, v, q)]
+    best_value, best_mask = -math.inf, 1
+    for high in range(1 << (n - low)):
+        first = 1 if high == 0 else 0  # mask 0 is the empty event
+        prior_sums, like_sums, post_sums = (
+            _block_sums(sums, x[low:], high)[first:] for sums, x in zip(low_sums, (u, v, q))
+        )
+        with np.errstate(divide="ignore"):
+            losses = np.log2(post_sums) - a * np.log2(prior_sums) - b * np.log2(like_sums)
+        best = int(np.argmax(losses))
+        if losses[best] > best_value:
+            best_value, best_mask = float(losses[best]), (high << low) + first + best
+    return LossReport(max(best_value, 0.0), _mask_event(best_mask, labels), lower_bound)
 
 
 def max_loss_exhaustive(

@@ -25,7 +25,7 @@ from .errors import (
     RepresentationMismatchError,
     TooLargeError,
 )
-from .information import weighted_max_loss_exhaustive
+from .information import _CHUNK_SIZE, weighted_max_loss_exhaustive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,7 +34,6 @@ EVALUATION_BUDGET = 10**8
 
 _CROSS_CHECK_MAX_ATOMS = 12
 _CROSS_CHECK_TOL = 1e-12
-_CHUNK_SIZE = 16384
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,10 @@ def _reference_smoothing_cdf(dist, epsilon):
     def cdf(x):
         return (integral_of_cdf(x + epsilon) - integral_of_cdf(x - epsilon)) / (2.0 * epsilon)
 
-    return cdf, dist.origin - epsilon, dist.end + epsilon
+    positive = [i for i, d in enumerate(dist.densities) if d > 0.0]
+    lo = dist.origin + min(positive) * delta - epsilon
+    hi = dist.origin + (max(positive) + 1) * delta + epsilon
+    return cdf, lo, hi
 
 
 def _reference_smooth(dist, epsilon, delta_out):
@@ -159,7 +162,10 @@ def _array_smoothing_cdf_grid(dist, epsilon):
     def cdf(x: np.ndarray) -> np.ndarray:
         return (integral_of_cdf(x + epsilon) - integral_of_cdf(x - epsilon)) / (2.0 * epsilon)
 
-    return cdf, origin - epsilon, end + epsilon
+    positive = np.flatnonzero(densities > 0.0)
+    lo = origin + int(positive[0]) * delta - epsilon
+    hi = origin + (int(positive[-1]) + 1) * delta + epsilon
+    return cdf, lo, hi
 
 
 def _array_smooth(dist, epsilon, delta_out):
@@ -668,6 +674,18 @@ class TestSmoothUniform:
         sm = smooth_uniform(dist, 0.5, 0.25)
         assert (sm.origin, sm.densities) == (-0.5, (1.0, 1.0, 1.0, 1.0))
         assert _reference_smooth(dist, 0.5, 0.25) == (-0.5, [1.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "densities, origin",
+        [((1.0,) + (0.0,) * 1000, -0.5), ((0.0,) * 1000 + (1.0,), 999.5)],
+    )
+    def test_zero_density_end_cells_do_not_stretch_the_extent(self, densities, origin):
+        grid = GridDensity(0.0, 1.0, densities)
+        sm = smooth_uniform(grid, 0.5, 0.25)
+        assert sm.origin == origin
+        assert sm.n_cells == 8
+        assert _reference_smooth(grid, 0.5, 0.25) == (sm.origin, list(sm.densities))
+        assert _array_smooth(grid, 0.5, 0.25) == (sm.origin, sm.densities)
 
     def test_resolution_must_divide_window(self):
         with pytest.raises(BadResolutionError):

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayesfuse import (
+    BayesfuseError,
     DiscreteDist,
     DistFamily,
     Event,
@@ -29,8 +32,12 @@ from bayesfuse import (
     weighted_combined_info,
     weighted_max_loss,
     weighted_max_loss_exhaustive,
+    minimize_max_loss,
     weighted_posterior,
 )
+from bayesfuse import information
+from bayesfuse.combine import _align
+from bayesfuse.information import _block_sums, _subset_sums, _weighted_bound
 from conftest import dirichlet_alternative
 
 TWO_ATOM_PRIOR = DiscreteDist((("0", 0.5), ("1", 0.5)))
@@ -231,6 +238,191 @@ class TestExhaustiveEnumeration:
         edge = normalize([(k, 1.0 + 0.01 * k) for k in range(12)])
         report = max_loss_exhaustive(edge, edge, edge)
         assert report.value >= report.lower_bound - 1e-12
+
+
+def _whole_array_exhaustive_max_loss(p1, p0, like, a, b):
+    """The exhaustive oracle with each subset sum over all ``2**n`` masks in
+    one array: the code the blocked enumeration replaced, kept as the
+    reference it must equal bit for bit."""
+    aligned = _align(p0, like, p1).require_compatible()
+    labels, (u, v, q) = aligned.labels, aligned.cell_masses()
+    lower_bound = _weighted_bound(u, v, a, b)
+    if aligned.strays:
+        return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound)
+
+    def subset_sums(values):
+        sums = np.zeros(1)
+        for value in values:
+            sums = np.concatenate([sums, sums + value])
+        return sums
+
+    prior_sums = subset_sums(u)[1:]
+    like_sums = subset_sums(v)[1:]
+    post_sums = subset_sums(q)[1:]
+    with np.errstate(divide="ignore"):
+        losses = np.log2(post_sums) - a * np.log2(prior_sums) - b * np.log2(like_sums)
+    best = int(np.argmax(losses))
+    mask = best + 1
+    witness = Event(frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1))
+    return LossReport(max(float(losses[best]), 0.0), witness, lower_bound)
+
+
+def _bits(report):
+    return report.value.hex(), report.witness, report.lower_bound.hex()
+
+
+def _assert_blocked_matches_whole_array(p1, p0, like, w0=1.0, wL=1.0):
+    pair = WeightedPair(p0, like, w0, wL)
+    blocked = weighted_max_loss_exhaustive(p1, pair)
+    if (w0, wL) == (1.0, 1.0):
+        assert max_loss_exhaustive(p1, p0, like) == blocked
+    reference = _whole_array_exhaustive_max_loss(p1, p0, like, *pair.exponents)
+    assert _bits(blocked) == _bits(reference)
+
+
+# Masses down to 1e-150 keep every joint product positive, so each case
+# reaches the enumeration.
+_MASSES = st.one_of(st.floats(0.01, 1.0), st.floats(-150.0, 0.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def _exhaustive_cases(draw):
+    """A candidate, prior and likelihood on up to 14 shared atoms; the
+    candidate may put zero mass on some of them."""
+    n = draw(st.integers(1, 14))
+    prior, like = (draw(st.lists(_MASSES, min_size=n, max_size=n)) for _ in range(2))
+    candidate = draw(st.lists(st.one_of(st.just(0.0), _MASSES), min_size=n, max_size=n))
+    if not any(candidate):
+        candidate[-1] = 1.0
+    return tuple(normalize(enumerate(masses)) for masses in (candidate, prior, like))
+
+
+class TestBlockedEnumeration:
+    """The blocked exhaustive oracle equals the whole-array one bit for bit,
+    whatever the block size."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        case=_exhaustive_cases(),
+        bits=st.sampled_from([1, 2, 5, None]),
+        weights=st.one_of(
+            st.just((1.0, 1.0)),
+            st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)),
+        ),
+    )
+    def test_matches_the_whole_array_oracle(self, case, bits, weights):
+        candidate, prior, like = case
+        bits = len(prior.atoms) if bits is None else bits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(information, "_CHUNK_SIZE", 2**bits)
+            _assert_blocked_matches_whole_array(candidate, prior, like, *weights)
+
+    @settings(deadline=None, max_examples=100)
+    @given(values=st.lists(_MASSES, min_size=1, max_size=10), data=st.data())
+    def test_blocks_hold_the_subset_sums_bit_for_bit(self, values, data):
+        """Block ``h`` of ``2**low`` masks is slice ``h`` of the whole-array
+        subset sums, so the events' order of additions is kept."""
+        low = data.draw(st.integers(0, len(values)))
+        low_sums = _subset_sums(values[:low])
+        blocks = [
+            _block_sums(low_sums, values[low:], high) for high in range(2 ** (len(values) - low))
+        ]
+        assert np.concatenate(blocks).tobytes() == _subset_sums(values).tobytes()
+
+    @pytest.mark.parametrize("bits", [1, 2, 5, 10])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (2.0, 1.0)])
+    def test_uniform_ties_keep_the_lowest_mask(self, monkeypatch, bits, weights):
+        uniform = normalize((k, 1.0) for k in range(10))
+        monkeypatch.setattr(information, "_CHUNK_SIZE", 2**bits)
+        report = weighted_max_loss_exhaustive(uniform, WeightedPair(uniform, uniform, *weights))
+        assert report.witness == Event.of("0")
+        _assert_blocked_matches_whole_array(uniform, uniform, uniform, *weights)
+
+    @pytest.mark.parametrize("bits", [1, 2, 5, 8])
+    def test_candidate_without_mass_on_the_low_atoms(self, monkeypatch, bits):
+        prior = normalize((k, 1.0 + k) for k in range(8))
+        like = normalize((k, 9.0 - k) for k in range(8))
+        candidate = normalize((k, 0.0 if k < 5 else 1.0) for k in range(8))
+        monkeypatch.setattr(information, "_CHUNK_SIZE", 2**bits)
+        _assert_blocked_matches_whole_array(candidate, prior, like)
+        _assert_blocked_matches_whole_array(candidate, prior, like, 3.7, 5.1)
+
+    def test_twenty_atoms_at_the_real_block_size(self):
+        assert information._CHUNK_SIZE == 2**14
+        prior = normalize((k, 1.0 + (k * 7) % 5) for k in range(20))
+        like = normalize((k, 1.0 + (k * 3) % 11) for k in range(20))
+        candidate = normalize((k, 1.0 + (k * 5) % 13) for k in range(20))
+        _assert_blocked_matches_whole_array(candidate, prior, like)
+        _assert_blocked_matches_whole_array(candidate, prior, like, 1.0, 1e-6)
+
+
+_EXTREME_MASSES = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+_EXTREME_WEIGHTS = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+def _loss_outcome(loss, candidate, pair):
+    try:
+        return loss(candidate, pair)
+    except BayesfuseError as err:
+        return type(err), str(err)
+
+
+class TestSingletonReductionAtExtremes:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        masses=st.lists(
+            st.tuples(_EXTREME_MASSES, _EXTREME_MASSES, _EXTREME_MASSES), min_size=1, max_size=12
+        ),
+        w0=_EXTREME_WEIGHTS,
+        wL=_EXTREME_WEIGHTS,
+        product_rule=st.booleans(),
+    )
+    def test_singleton_equals_exhaustive(self, masses, w0, wL, product_rule):
+        """Masses from 1e-300 to 1 and weights from 1e-6 to 1e6: both
+        functionals raise the same error or agree within 1e-12 relative."""
+        prior, like, candidate = (
+            normalize((k, row[j]) for k, row in enumerate(masses)) for j in range(3)
+        )
+        pair = WeightedPair(prior, like, w0, wL)
+        if product_rule:
+            try:
+                candidate = weighted_posterior(pair)
+            except BayesfuseError:
+                pass
+        fast = _loss_outcome(weighted_max_loss, candidate, pair)
+        slow = _loss_outcome(weighted_max_loss_exhaustive, candidate, pair)
+        if isinstance(fast, tuple) or isinstance(slow, tuple):
+            assert fast == slow
+            return
+        assert fast.lower_bound == slow.lower_bound
+        assert fast.value == slow.value or (
+            abs(fast.value - slow.value) <= 1e-12 * max(1.0, abs(slow.value))
+        )
+
+
+class TestOracleMemory:
+    """Both brute-force oracles hold one block at a time, not the whole domain."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: max_loss_exhaustive(*[normalize((k, 1.0 + k) for k in range(20))] * 3),
+            lambda: minimize_max_loss(
+                normalize((k, 1.0 + k) for k in range(5)),
+                normalize((k, 5.0 - k) for k in range(5)),
+                50,
+            ),
+        ],
+        ids=["exhaustive_20_atoms", "scan_n5_K50"],
+    )
+    def test_peak_stays_under_8_mb(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestWeightedMaxLoss:
