@@ -17,6 +17,8 @@ non-finite values are the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 numpy is imported only by the brute-force oracles: ``verify`` and
 ``loss --exhaustive``.  ``compat``, ``posterior``, ``loss``, ``mlr`` and
 ``smooth`` run on the standard library alone, on every file kind.
+``verify`` takes ``--w0`` and ``--wL`` only with ``--objective weighted``;
+with another objective they are an argument error.
 
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
 closed form), 1 verification failure, 2 unreadable or malformed input
@@ -67,7 +69,6 @@ from .errors import (
 from .fileio import load_distribution, save_distribution
 from .information import (
     Event,
-    _weighted_bound,
     max_loss,
     max_loss_exhaustive,
     weighted_max_loss,
@@ -100,6 +101,7 @@ _ERROR_EXITS = (
     (TooLargeError, EXIT_TOO_LARGE),
     (BadResolutionError, EXIT_BAD_RESOLUTION),
     (UnsupportedMassError, EXIT_UNSUPPORTED_MASS),
+    (OSError, EXIT_PARSE),
 )
 
 
@@ -198,18 +200,19 @@ def cmd_posterior(args) -> int:
     aligned = _align(prior, likelihood)
     report.add("overlap_mass", aligned.overlap)
     if weights is None or weights[0] == weights[1]:
-        rule, a, b = "bayes", 1.0, 1.0
-        aligned.require_compatible()
+        rule = "bayes"
+        posterior = _product(prior, aligned.require_compatible(), 1.0, 1.0)
     else:
+        # A degenerate weighted product (exit 4) outranks an incompatible pair (3).
         rule = "weighted"
         a, b = WeightedPair(prior, likelihood, weights[0], weights[1]).exponents
-    posterior = _product(prior, aligned, a, b)
+        posterior = _product(prior, aligned, a, b)
+        aligned.require_compatible()
     if weights is not None:
         report.add("w0", weights[0])
         report.add("wL", weights[1])
     report.add("rule", rule)
-    u, v, _ = aligned.require_compatible().cell_masses()
-    report.add("loss_lower_bound_bits", _weighted_bound(u, v, 1.0, 1.0))
+    report.add("loss_lower_bound_bits", aligned.bound(1.0, 1.0))
     _add_distribution(report, "posterior", posterior)
     if args.out:
         save_distribution(posterior, args.out)
@@ -255,12 +258,14 @@ def cmd_verify(args) -> int:
     n = len(_align(prior, likelihood).require_compatible().labels)
     K = args.K if args.K is not None else default_resolution(n)
     weights = _weights(args)
+    if args.objective == "weighted" and weights is None:
+        raise FileFormatError("--objective weighted needs --w0 and --wL")
+    if args.objective != "weighted" and weights is not None:
+        raise FileFormatError("--w0 and --wL need --objective weighted")
     report.add("objective", args.objective)
     report.add("K", K)
     report.add("n", n)
     if args.objective == "weighted":
-        if weights is None:
-            raise FileFormatError("--objective weighted needs --w0 and --wL")
         pair = WeightedPair(prior, likelihood, weights[0], weights[1])
         report.add("w0", weights[0])
         report.add("wL", weights[1])
@@ -425,16 +430,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except BayesfuseError as exc:
-        for err_type, code in _ERROR_EXITS:
-            if isinstance(exc, err_type):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except (BayesfuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_FAIL)
 
 
 if __name__ == "__main__":

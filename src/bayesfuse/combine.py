@@ -12,6 +12,10 @@ atoms outside the joint support would carry mass zero and are omitted.
 A joint term of the product that is subnormal raises
 :class:`IncompatibleError`, since the float arithmetic over it has lost
 precision.
+
+The aligned pair ``_Aligned`` owns the conflation's arithmetic: the overlap,
+the compatibility rule, the subnormal test, the product terms and the loss
+bound ``-log2 sum(p0**a * pL**b)`` that :mod:`bayesfuse.information` reports.
 """
 
 from __future__ import annotations
@@ -72,18 +76,24 @@ def _exponents(w0: float, wL: float) -> tuple[float, float]:
     return a, b
 
 
+def _compatible(mass: float) -> bool:
+    """The compatibility rule: a positive, finite overlap (or product total)."""
+    return 0.0 < mass < math.inf
+
+
 @dataclass(frozen=True)
 class CompatibilityReport:
     """Outcome of the overlap test between a prior and a likelihood."""
 
-    compatible: bool
     overlap_mass: float
 
     def __post_init__(self) -> None:
         if self.overlap_mass < 0.0:
             raise ValueError("overlap mass cannot be negative")
-        if self.compatible != (0.0 < self.overlap_mass < math.inf):
-            raise ValueError("compatible flag contradicts the overlap mass")
+
+    @property
+    def compatible(self) -> bool:
+        return _compatible(self.overlap_mass)
 
 
 def require_same_representation(a: Distribution, b: Distribution) -> None:
@@ -108,6 +118,13 @@ def _joint_terms(u, v, a: float, b: float) -> Iterator[float]:
     return (x**a * y**b for x, y in zip(u, v))
 
 
+def _first_subnormal(terms: list[float]) -> int | None:
+    """Position of the first term below the normal range, or ``None``."""
+    if min(terms, default=_MIN_NORMAL) >= _MIN_NORMAL:
+        return None
+    return next(i for i, w in enumerate(terms) if w < _MIN_NORMAL)
+
+
 class _Aligned(NamedTuple):
     """A prior and a likelihood aligned on their joint support.
 
@@ -115,7 +132,8 @@ class _Aligned(NamedTuple):
     candidate's, empty without one) hold raw masses or densities on the
     labels, so cell masses are ``scale`` times them.  ``strays`` lists the
     labels off the joint support where the candidate is positive, sorted
-    (atom keys as text, cells by index).
+    (atom keys as text, cells by index).  ``overlap`` is the cell-mass sum
+    of ``u*v``.
     """
 
     labels: tuple[str, ...] | tuple[int, ...]
@@ -124,16 +142,12 @@ class _Aligned(NamedTuple):
     v: list[float]
     q: list[float]
     strays: list
-
-    @property
-    def overlap(self) -> float:
-        return self.scale * math.fsum(_joint_terms(self.u, self.v, 1.0, 1.0))
+    overlap: float
 
     def require_compatible(self) -> "_Aligned":
-        overlap = self.overlap
-        if not 0.0 < overlap < math.inf:
+        if not _compatible(self.overlap):
             raise IncompatibleError(
-                f"prior and likelihood are not compatible (overlap mass {overlap!r})"
+                f"prior and likelihood are not compatible (overlap mass {self.overlap!r})"
             )
         return self
 
@@ -145,10 +159,22 @@ class _Aligned(NamedTuple):
         unit mass, and a ratio to it can overflow.
         """
         values = list(_joint_terms(self.u, self.v, a, b))
-        if min(values, default=_MIN_NORMAL) < _MIN_NORMAL:
-            label = next(l for l, w in zip(self.labels, values) if w < _MIN_NORMAL)
-            raise IncompatibleError(f"prior-likelihood product underflows at {label}")
+        i = _first_subnormal(values)
+        if i is not None:
+            raise IncompatibleError(f"prior-likelihood product underflows at {self.labels[i]}")
         return values
+
+    def bound(self, a: float, b: float) -> float:
+        """The loss bound ``-log2 sum(u**a * v**b)`` over cell masses, for a
+        compatible pair.  When a term is subnormal, and so has lost bits, the
+        terms are summed scaled by the largest ``a*log2(u) + b*log2(v)``."""
+        u, v, _ = self.cell_masses()
+        terms = list(_joint_terms(u, v, a, b))
+        if _first_subnormal(terms) is None:
+            return -math.log2(math.fsum(terms))
+        logs = [a * math.log2(x) + b * math.log2(y) for x, y in zip(u, v)]
+        top = max(logs)
+        return -(top + math.log2(math.fsum(2.0 ** (w - top) for w in logs)))
 
     def cell_masses(self) -> tuple[list[float], ...]:
         """``u``, ``v`` and ``q`` as cell masses, ``scale`` times them."""
@@ -184,7 +210,9 @@ def _align(
     else:
         q = list(compress(candidate.densities, joint))
         strays = [i for i, m, j in zip(positions, candidate.densities, joint) if m > 0.0 and not j]
-    return _Aligned(labels, scale, list(compress(u, joint)), list(compress(v, joint)), q, strays)
+    u, v = list(compress(u, joint)), list(compress(v, joint))
+    overlap = scale * math.fsum(map(mul, u, v))
+    return _Aligned(labels, scale, u, v, q, strays, overlap)
 
 
 def _on_keys(dist: DiscreteDist, keys: tuple[str, ...]) -> list[float]:
@@ -204,15 +232,14 @@ def check_compatible(p0: Distribution, like: Distribution) -> CompatibilityRepor
     The pair is compatible exactly when the overlap is positive and finite;
     conflation is only defined for compatible pairs.
     """
-    overlap = _align(p0, like).overlap
-    return CompatibilityReport(compatible=0.0 < overlap < math.inf, overlap_mass=overlap)
+    return CompatibilityReport(_align(p0, like).overlap)
 
 
 def _product(p0: Distribution, aligned: _Aligned, a: float, b: float) -> Distribution:
     """The normalized product ``p0**a * pL**b`` on the joint support."""
     values = aligned.products(a, b)
     total = aligned.scale * math.fsum(values)
-    if not 0.0 < total < math.inf:
+    if not _compatible(total):
         raise DegenerateProductError(f"weighted product has total mass {total!r}")
     if isinstance(p0, DiscreteDist):
         return _unit_mass(aligned.labels, values)

@@ -20,6 +20,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
+from functools import cached_property
 from itertools import accumulate
 from operator import add, lt
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -208,11 +209,12 @@ class DiscreteDist:
         """Build from (position, mass) pairs; canonicalizes keys and merges duplicates."""
         return cls._trusted(*_merged(pairs))
 
-    @property
+    # cached_property writes the instance __dict__, which frozen leaves open.
+    @cached_property
     def keys(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.atoms)
 
-    @property
+    @cached_property
     def masses(self) -> tuple[float, ...]:
         return tuple(m for _, m in self.atoms)
 

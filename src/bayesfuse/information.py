@@ -11,6 +11,8 @@ posterior ``P1`` loses
 bits on ``A``.  ``max_loss`` reports the supremum of this loss over all
 nonempty events together with the theoretical lower bound
 ``log2(1 / sum(p0 * pL))``, which the product-rule posterior attains.
+The bound, like the rest of the conflation's arithmetic, is computed by
+the aligned pair of :mod:`bayesfuse.combine`; this module scores events.
 
 For disjoint events the loss of a union never exceeds the larger of the
 two losses, so the supremum is attained on singletons; ``max_loss``
@@ -32,10 +34,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .combine import _MIN_NORMAL, WeightedPair, _align, _joint_terms
+from .combine import WeightedPair, _align
 from .dists import DiscreteDist, Distribution, GridDensity
 from .errors import (
-    DegenerateProductError,
     InvalidEventError,
     RepresentationMismatchError,
     TooLargeError,
@@ -135,31 +136,12 @@ def weighted_combined_info(pair: WeightedPair, event: Event) -> float:
     )
 
 
-def _weighted_bound(u, v, a: float, b: float) -> float:
-    """``-log2 sum(u**a * v**b)``; when a term is subnormal, and so has lost
-    bits, the terms are summed scaled by the largest ``a*log2(u) + b*log2(v)``."""
-    terms = list(_joint_terms(u, v, a, b))
-    if min(terms, default=_MIN_NORMAL) < _MIN_NORMAL:
-
-        def logs():
-            return (a * math.log2(x) + b * math.log2(y) for x, y in zip(u, v))
-
-        top = max(logs())
-        return -(top + math.log2(math.fsum(2.0 ** (w - top) for w in logs())))
-    normalizer = math.fsum(terms)
-    if normalizer == 0.0 or not math.isfinite(normalizer):
-        raise DegenerateProductError(
-            f"weighted product has total mass {normalizer!r}"
-        )
-    return -math.log2(normalizer)
-
-
 def _singleton_max_loss(
     p1: Distribution, p0: Distribution, like: Distribution, a: float, b: float
 ) -> LossReport:
     aligned = _align(p0, like, p1).require_compatible()
     labels, (u, v, q) = aligned.labels, aligned.cell_masses()
-    lower_bound = _weighted_bound(u, v, a, b)
+    lower_bound = aligned.bound(a, b)
     if aligned.strays:
         return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound)
     best_value = -math.inf
@@ -229,7 +211,7 @@ def _exhaustive_max_loss(
         raise TooLargeError(
             f"joint support has {n} atoms; exhaustive enumeration allows {EXHAUSTIVE_MAX_ATOMS}"
         )
-    lower_bound = _weighted_bound(u, v, a, b)
+    lower_bound = aligned.bound(a, b)
     if aligned.strays:
         return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound)
     import numpy as np

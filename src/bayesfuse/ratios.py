@@ -27,14 +27,18 @@ class RatioProfile:
     """Candidate-to-product ratios over the joint support, plus their spread."""
 
     entries: tuple[tuple[str, float], ...]
-    spread: float
 
     def __post_init__(self) -> None:
-        ratios = [r for _, r in self.entries]
-        if any(not math.isfinite(r) or r < 0.0 for r in ratios):
+        if not self.entries:
+            raise ValueError("a ratio profile needs at least one entry")
+        if any(not math.isfinite(r) or r < 0.0 for _, r in self.entries):
             raise ValueError("ratios must be finite and nonnegative")
-        if self.spread != max(ratios) - min(ratios):
-            raise ValueError("spread must equal max(ratios) - min(ratios)")
+
+    @property
+    def spread(self) -> float:
+        """``max(ratios) - min(ratios)``, the MLR objective."""
+        ratios = [r for _, r in self.entries]
+        return max(ratios) - min(ratios)
 
 
 def ratio_profile(
@@ -51,8 +55,7 @@ def ratio_profile(
     if strays:
         raise UnsupportedMassError(f"candidate has mass off the joint support at {strays!r}")
     ratios = list(map(truediv, aligned.q, aligned.products(1.0, 1.0)))
-    entries = tuple(zip(map(str, aligned.labels), ratios))
-    return RatioProfile(entries, max(ratios) - min(ratios))
+    return RatioProfile(tuple(zip(map(str, aligned.labels), ratios)))
 
 
 def mlr_spread(candidate: Distribution, p0: Distribution, like: Distribution) -> float:

@@ -37,24 +37,6 @@ _CROSS_CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SimplexGrid:
-    """All probability vectors on ``n`` atoms with masses in ``{0, 1/K, ..., 1}``."""
-
-    n: int
-    K: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one atom")
-        if self.K < 1:
-            raise ValueError("resolution K must be at least 1")
-
-    @property
-    def count(self) -> int:
-        return math.comb(self.K + self.n - 1, self.n - 1)
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """Outcome of one exhaustive scan over a simplex grid."""
 
@@ -70,26 +52,29 @@ class SearchResult:
             raise ValueError("no candidates were evaluated")
 
 
-def _composition_blocks(grid: SimplexGrid, chunk_size: int) -> Iterator[np.ndarray]:
-    """Yield the grid's integer compositions of ``K`` in lexicographic order.
+def _composition_blocks(n: int, K: int) -> Iterator[np.ndarray]:
+    """Yield the integer compositions of ``K`` into ``n`` parts in lexicographic order.
 
+    These are the grid's ``C(K+n-1, n-1)`` mass vectors, times ``K``.
     Blocks are column-major, so row reductions vectorize, and hold at most
-    ``chunk_size`` rows.  Each row is unranked from its position through
+    ``_CHUNK_SIZE`` rows.  Each row is unranked from its position through
     ``sizes[p][x] = C(x+p-1, p-1)``, the compositions of ``x`` into ``p`` parts.
     Grids over the evaluation budget raise :class:`TooLargeError`.
     """
+    if n < 1:
+        raise ValueError("need at least one atom")
+    if K < 1:
+        raise ValueError("resolution K must be at least 1")
+    count = math.comb(K + n - 1, n - 1)
+    if count > EVALUATION_BUDGET:
+        raise TooLargeError(f"{count} grid points exceed the budget of {EVALUATION_BUDGET}")
     import numpy as np
 
-    if grid.count > EVALUATION_BUDGET:
-        raise TooLargeError(
-            f"{grid.count} grid points exceed the budget of {EVALUATION_BUDGET}"
-        )
-    n, K = grid.n, grid.K
     sizes = {2: np.arange(1, K + 2)} if n > 2 else {}
     for p in range(3, n + 1):
         sizes[p] = np.cumsum(sizes[p - 1])
-    for start in range(0, grid.count, chunk_size):
-        rank = np.arange(start, min(start + chunk_size, grid.count))
+    for start in range(0, count, _CHUNK_SIZE):
+        rank = np.arange(start, min(start + _CHUNK_SIZE, count))
         mass = np.full_like(rank, K)
         block = np.empty((n, rank.size), dtype=rank.dtype).T
         for p in range(n, 2, -1):
@@ -109,7 +94,7 @@ def enumerate_simplex(n: int, K: int) -> Iterator[tuple[float, ...]]:
     There are ``C(K+n-1, n-1)`` of them; requests above the evaluation
     budget of ``10**8`` raise :class:`TooLargeError`.
     """
-    for block in _composition_blocks(SimplexGrid(n, K), _CHUNK_SIZE):
+    for block in _composition_blocks(n, K):
         yield from map(tuple, (block / K).tolist())
 
 
@@ -131,13 +116,13 @@ def _scan(
     # Raises on a subnormal divisor, whose ratios would overflow.
     aligned.products(a, b)
     keys, u, v = aligned.labels, np.asarray(aligned.u), np.asarray(aligned.v)
-    grid = SimplexGrid(len(keys), int(K))
+    K = int(K)
     best_value, best_comp, runner_up, evaluated = math.inf, (), math.inf, 0
-    for block in _composition_blocks(grid, _CHUNK_SIZE):
+    for block in _composition_blocks(len(keys), K):
         # The guard keeps every divisor normal, so ratios stay finite; should
         # numpy's rounding of a power differ, no warning reaches stderr.
         with np.errstate(over="ignore"):
-            values = evaluate_rows(block / grid.K, u, v)
+            values = evaluate_rows(block / K, u, v)
         i = int(np.argmin(values))
         chunk_best = float(values[i])
         chunk_second = (
@@ -149,7 +134,7 @@ def _scan(
             best_value, best_comp = chunk_best, block[i].tolist()
         else:
             runner_up = min(runner_up, chunk_best)
-    argmin = _unit_mass(keys, [c / grid.K for c in best_comp])
+    argmin = _unit_mass(keys, [c / K for c in best_comp])
     return SearchResult(argmin, best_value, runner_up, evaluated)
 
 

@@ -111,9 +111,26 @@ class TestPosteriorCommand:
         assert code == 4
 
     def test_malformed_file_exits_parse_error(self, capsys, files):
-        bad = files["write"]("bad.json", {"kind": "nonsense"})
-        code, _, _ = run(capsys, "posterior", bad, files["like"])
+        grid = {"kind": "grid", "origin": 0, "delta": 1, "densities": [1]}
+        for payload in (
+            {"kind": "nonsense"},
+            {**grid, "origin": math.nan},
+            {**grid, "delta": 0},
+            {**grid, "densities": []},
+        ):
+            bad = files["write"]("bad.json", payload)
+            code, out, err = run(capsys, "posterior", bad, bad)
+            assert code == 2, payload
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_file_exits_parse_error(self, capsys, files):
+        missing = str(files["tmp"] / "missing.json")
+        code, out, err = run(capsys, "posterior", missing, files["like"])
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.json" in err
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -293,6 +310,17 @@ class TestVerifyCommand:
     def test_weighted_objective_requires_weights(self, capsys, files):
         code, _, _ = run(capsys, "verify", files["prior"], files["like"], "--objective", "weighted")
         assert code == 2
+
+    @pytest.mark.parametrize("objective", ["shannon", "mlr"])
+    def test_weights_without_the_weighted_objective_exit_two(self, capsys, files, objective):
+        code, out, err = run(
+            capsys,
+            "verify", files["prior"], files["like"],
+            "--objective", objective, "--w0", "2", "--wL", "1", "--K", "20",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --w0 and --wL need --objective weighted\n"
 
     @pytest.mark.parametrize("K", ["0", "-3"])
     def test_resolution_below_one_exits_two(self, capsys, files, K):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from bayesfuse import (
+    CompatibilityReport,
     DegenerateProductError,
     DiscreteDist,
     DistFamily,
@@ -38,6 +39,13 @@ class TestCompatibility:
         report = check_compatible(TWO_ATOM_PRIOR, far)
         assert report.overlap_mass == 0.0
         assert not report.compatible
+
+    @pytest.mark.parametrize(
+        "overlap, compatible",
+        [(0.0, False), (5e-324, True), (0.5, True), (math.inf, False)],
+    )
+    def test_report_derives_compatibility_from_the_overlap(self, overlap, compatible):
+        assert CompatibilityReport(overlap).compatible is compatible
 
     def test_gridded_geometric_decays_are_compatible(self):
         grid = (1.0, 0.02, 3000)

@@ -338,6 +338,15 @@ class TestDiscreteDist:
         d = DiscreteDist.from_pairs([("0.5", 0.25), (0.5, 0.25), (1, 0.5)])
         assert d.atoms == (("0.5", 0.5), ("1", 0.5))
 
+    @pytest.mark.parametrize("build", ["public", "trusted"])
+    def test_keys_and_masses_are_built_once_and_leave_the_value_alone(self, build):
+        atoms = (("0", 0.25), ("1", 0.75))
+        d = DiscreteDist(atoms) if build == "public" else DiscreteDist.from_pairs(atoms)
+        fresh = DiscreteDist(atoms)
+        assert d.keys is d.keys and d.masses is d.masses
+        assert (d.keys, d.masses) == (("0", "1"), (0.25, 0.75))
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+
 
 _FLOAT_TIES = [
     ("0.1", "0.10000000000000000001"),

@@ -12,6 +12,7 @@ check that the probe can see numpy being loaded.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,7 +93,7 @@ def paths(tmp_path_factory):
         "import bayesfuse; rc = 0",
         "from bayesfuse import bayes_posterior, max_loss; rc = 0",
         "import bayesfuse; rc = 0 if bayesfuse.errors.FileFormatError and bayesfuse.dists else 1",
-        "from bayesfuse.search import SimplexGrid; rc = 0 if SimplexGrid(3, 4).count == 15 else 1",
+        "from bayesfuse.search import default_resolution; rc = 0 if default_resolution(3) == 200 else 1",
     ],
     ids=["package", "from-import", "submodule-attribute", "search"],
 )
@@ -286,3 +287,17 @@ def test_dead_private_name_guard_sees_a_leftover():
         "b.py": "from . import a\na._helper()\n",
     }
     assert _dead_private_names(sources) == ["a.py:_CANONICAL"]
+
+
+def test_conflation_arithmetic_lives_in_combine():
+    """The aligned pair owns the joint terms, the subnormal test and the
+    compatibility rule: no other module names them, and the rule is written
+    once."""
+    sources = _package_sources()
+    for name in ("_joint_terms", "_MIN_NORMAL"):
+        users = [m for m, source in sources.items() if re.search(rf"\b{name}\b", source)]
+        assert users == ["combine.py"], name
+    rules = [
+        m for m, source in sources.items() for _ in re.finditer(r"0\.0 < [\w.]+ < math\.inf", source)
+    ]
+    assert rules == ["combine.py"]

@@ -37,7 +37,7 @@ from bayesfuse import (
 )
 from bayesfuse import information
 from bayesfuse.combine import _align
-from bayesfuse.information import _block_sums, _subset_sums, _weighted_bound
+from bayesfuse.information import _block_sums, _subset_sums
 from conftest import dirichlet_alternative
 
 TWO_ATOM_PRIOR = DiscreteDist((("0", 0.5), ("1", 0.5)))
@@ -246,7 +246,7 @@ def _whole_array_exhaustive_max_loss(p1, p0, like, a, b):
     reference it must equal bit for bit."""
     aligned = _align(p0, like, p1).require_compatible()
     labels, (u, v, q) = aligned.labels, aligned.cell_masses()
-    lower_bound = _weighted_bound(u, v, a, b)
+    lower_bound = aligned.bound(a, b)
     if aligned.strays:
         return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound)
 

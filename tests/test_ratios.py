@@ -1,5 +1,7 @@
 """Likelihood-ratio profiles and the minimax spread objective."""
 
+import math
+
 import pytest
 
 from bayesfuse import (
@@ -50,8 +52,12 @@ class TestRatioProfile:
             ratio_profile(TWO_ATOM_PRIOR, TWO_ATOM_PRIOR, far)
 
     def test_profile_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            RatioProfile(entries=(("0", 1.0), ("1", 3.0)), spread=1.0)
+        assert RatioProfile(entries=(("0", 1.0), ("1", 3.0))).spread == 2.0
+        with pytest.raises(ValueError, match="at least one entry"):
+            RatioProfile(entries=())
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                RatioProfile(entries=(("0", 1.0), ("1", bad)))
 
 
 class TestMlrSpread:

@@ -11,7 +11,6 @@ from bayesfuse import (
     CrossCheckError,
     DiscreteDist,
     IncompatibleError,
-    SimplexGrid,
     TooLargeError,
     WeightedPair,
     bayes_posterior,
@@ -51,7 +50,9 @@ class TestCompositionBlocks:
         chunk_size=st.integers(1, 50),
     )
     def test_blocks_concatenate_to_the_reference(self, n, K, chunk_size):
-        blocks = list(search._composition_blocks(SimplexGrid(n, K), chunk_size))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_CHUNK_SIZE", chunk_size)
+            blocks = list(search._composition_blocks(n, K))
         assert all(0 < len(block) <= chunk_size for block in blocks)
         rows = [tuple(row) for block in blocks for row in block.tolist()]
         assert rows == reference_compositions(n, K)
@@ -70,8 +71,8 @@ class TestCompositionBlocks:
         result = search._scan(uniform, uniform, 20, evaluate)
         assert max(shape[0] for shape in seen) == 100
         assert all(shape[1] == 4 for shape in seen)
-        assert sum(shape[0] for shape in seen) == SimplexGrid(4, 20).count
-        assert result.evaluated_count == SimplexGrid(4, 20).count
+        assert sum(shape[0] for shape in seen) == math.comb(23, 3)
+        assert result.evaluated_count == math.comb(23, 3)
 
     def test_enumerate_simplex_is_the_reference_over_K(self):
         expected = [tuple(c / 9 for c in comp) for comp in reference_compositions(4, 9)]
@@ -90,7 +91,7 @@ class TestEnumeration:
         ]
 
     def test_counts_match_the_binomial(self):
-        assert SimplexGrid(3, 200).count == 20301
+        assert math.comb(202, 2) == 20301
         assert len(list(enumerate_simplex(3, 200))) == 20301
 
     def test_lexicographic_order_and_unit_sums(self):
@@ -103,6 +104,14 @@ class TestEnumeration:
     def test_budget_guard(self):
         with pytest.raises(TooLargeError):
             next(iter(enumerate_simplex(10, 200)))
+
+    @pytest.mark.parametrize(
+        "n, K, message",
+        [(0, 5, "need at least one atom"), (3, 0, "resolution K must be at least 1")],
+    )
+    def test_empty_grid_is_refused(self, n, K, message):
+        with pytest.raises(ValueError, match=message):
+            next(iter(enumerate_simplex(n, K)))
 
 
 class TestMinimizeMaxLoss:
