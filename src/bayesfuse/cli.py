@@ -20,16 +20,17 @@ numpy is imported only by the brute-force oracles: ``verify`` and
 ``verify`` takes ``--w0`` and ``--wL`` only with ``--objective weighted``;
 with another objective they are an argument error.
 
-Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
-closed form), 1 verification failure, 2 unreadable or malformed input
-file or argument (including a forced ``smooth`` extent that misses the
-mass, and a ``smooth`` window or extent past the float range), 3
+Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of
+the closed form), 1 verification failure, 2 unreadable or malformed
+input file or argument (including a forced ``smooth`` extent that misses
+the mass, and a ``smooth`` window or extent past the float range), 3
 incompatible or representation-mismatched pair (including, for
-``posterior``, ``mlr`` and ``verify``, a joint product that underflows to
-a subnormal number), 4 degenerate weighted product, 5 enumeration budget
-exceeded (including a ``smooth`` output grid of more than ``10**7``
-cells), 6 smoothing resolution does not divide the window, 7 candidate
-mass off the joint support.
+``posterior``, ``mlr`` and ``verify``, a joint product that underflows
+to a subnormal number, and for ``posterior`` a grid posterior whose
+total, densities or cell masses do), 4 degenerate weighted product, 5
+enumeration budget exceeded (including a ``smooth`` output grid of more
+than ``10**7`` cells), 6 smoothing resolution does not divide the
+window, 7 candidate mass off the joint support.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from functools import partial
 from pathlib import Path
 
 from .combine import (
-    WeightedPair,
     _align,
     _exponents,
     _product,
@@ -67,20 +67,9 @@ from .errors import (
     UnsupportedMassError,
 )
 from .fileio import load_distribution, save_distribution
-from .information import (
-    Event,
-    max_loss,
-    max_loss_exhaustive,
-    weighted_max_loss,
-    weighted_max_loss_exhaustive,
-)
+from .information import Event, max_loss, max_loss_exhaustive
 from .ratios import ratio_profile
-from .search import (
-    default_resolution,
-    minimize_max_loss,
-    minimize_mlr_spread,
-    minimize_weighted_loss,
-)
+from .search import default_resolution, minimize_max_loss, minimize_mlr_spread
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -205,8 +194,7 @@ def cmd_posterior(args) -> int:
     else:
         # A degenerate weighted product (exit 4) outranks an incompatible pair (3).
         rule = "weighted"
-        a, b = WeightedPair(prior, likelihood, weights[0], weights[1]).exponents
-        posterior = _product(prior, aligned, a, b)
+        posterior = _product(prior, aligned, *_exponents(*weights))
         aligned.require_compatible()
     if weights is not None:
         report.add("w0", weights[0])
@@ -229,15 +217,12 @@ def cmd_loss(args) -> int:
     weights = _weights(args)
     if weights is None:
         report.add("objective", "shannon")
-        runner = max_loss_exhaustive if args.exhaustive else max_loss
-        result = runner(posterior, prior, likelihood)
     else:
         report.add("objective", "weighted")
         report.add("w0", weights[0])
         report.add("wL", weights[1])
-        pair = WeightedPair(prior, likelihood, weights[0], weights[1])
-        runner = weighted_max_loss_exhaustive if args.exhaustive else weighted_max_loss
-        result = runner(posterior, pair)
+    runner = max_loss_exhaustive if args.exhaustive else max_loss
+    result = runner(posterior, prior, likelihood, *(weights or ()))
     report.add("method", "exhaustive" if args.exhaustive else "singleton")
     report.add("value_bits", result.value)
     report.add("witness", _witness_text(result.witness))
@@ -266,17 +251,16 @@ def cmd_verify(args) -> int:
     report.add("K", K)
     report.add("n", n)
     if args.objective == "weighted":
-        pair = WeightedPair(prior, likelihood, weights[0], weights[1])
         report.add("w0", weights[0])
         report.add("wL", weights[1])
-        scan = partial(minimize_weighted_loss, pair)
-        rule = partial(weighted_posterior, pair)
+        scan = partial(minimize_max_loss, prior, likelihood, K, *weights)
+        rule = partial(weighted_posterior, prior, likelihood, *weights)
     else:
         minimize = minimize_mlr_spread if args.objective == "mlr" else minimize_max_loss
-        scan = partial(minimize, prior, likelihood)
+        scan = partial(minimize, prior, likelihood, K)
         rule = partial(bayes_posterior, prior, likelihood)
     started = time.perf_counter()
-    result = scan(K)
+    result = scan()
     scan_seconds = time.perf_counter() - started
     closed_form = rule()
     distance = linf_distance(result.argmin, closed_form)

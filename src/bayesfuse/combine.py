@@ -6,6 +6,9 @@ whose optimality the :mod:`bayesfuse.information`, :mod:`bayesfuse.ratios`
 and :mod:`bayesfuse.search` modules measure and verify.  ``linear_pool``
 is the naive baseline they are compared against.
 
+Weights are plain ``w0, wL`` arguments; ``_exponents`` checks them and
+divides them by their maximum, so equal weights give the product rule.
+
 Discrete combiners operate on the *joint support* -- atoms whose keys
 appear in both inputs with a strictly positive mass product.  Posterior
 atoms outside the joint support would carry mass zero and are omitted.
@@ -37,38 +40,17 @@ from .errors import (
 _MIN_NORMAL = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class WeightedPair:
-    """A prior and a likelihood with strictly positive importance weights.
-
-    The smaller weight over the larger must be a normal float.
-    """
-
-    prior: Distribution
-    likelihood: Distribution
-    w0: float
-    wL: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.w0) and self.w0 > 0.0):
-            raise ValueError(f"prior weight must be positive, got {self.w0!r}")
-        if not (math.isfinite(self.wL) and self.wL > 0.0):
-            raise ValueError(f"likelihood weight must be positive, got {self.wL!r}")
-        _exponents(self.w0, self.wL)
-        require_same_representation(self.prior, self.likelihood)
-
-    @property
-    def exponents(self) -> tuple[float, float]:
-        """Normalized exponents (w0/max, wL/max); only relative weights matter."""
-        return _exponents(self.w0, self.wL)
-
-
 def _exponents(w0: float, wL: float) -> tuple[float, float]:
-    """``(w0/max, wL/max)`` for positive weights.
+    """``(w0/max, wL/max)`` for positive finite weights.
 
-    Raises :class:`ValueError` when the smaller one is below the normal
-    range, where a positive weight would act as zero.
+    Raises :class:`ValueError` for any other weight, and when the smaller
+    exponent is below the normal range, where a positive weight would act
+    as zero.
     """
+    if not (math.isfinite(w0) and w0 > 0.0):
+        raise ValueError(f"prior weight must be positive, got {w0!r}")
+    if not (math.isfinite(wL) and wL > 0.0):
+        raise ValueError(f"likelihood weight must be positive, got {wL!r}")
     top = max(w0, wL)
     a, b = w0 / top, wL / top
     if min(a, b) < _MIN_NORMAL:
@@ -167,14 +149,16 @@ class _Aligned(NamedTuple):
     def bound(self, a: float, b: float) -> float:
         """The loss bound ``-log2 sum(u**a * v**b)`` over cell masses, for a
         compatible pair.  When a term is subnormal, and so has lost bits, the
-        terms are summed scaled by the largest ``a*log2(u) + b*log2(v)``."""
+        terms are summed scaled by the largest ``a*log2(u) + b*log2(v)``.
+        The mass tolerance lets the sum exceed 1; no loss is negative, so
+        the bound is clamped at 0."""
         u, v, _ = self.cell_masses()
         terms = list(_joint_terms(u, v, a, b))
         if _first_subnormal(terms) is None:
-            return -math.log2(math.fsum(terms))
+            return max(0.0, -math.log2(math.fsum(terms)))
         logs = [a * math.log2(x) + b * math.log2(y) for x, y in zip(u, v)]
         top = max(logs)
-        return -(top + math.log2(math.fsum(2.0 ** (w - top) for w in logs)))
+        return max(0.0, -(top + math.log2(math.fsum(2.0 ** (w - top) for w in logs))))
 
     def cell_masses(self) -> tuple[list[float], ...]:
         """``u``, ``v`` and ``q`` as cell masses, ``scale`` times them."""
@@ -236,7 +220,11 @@ def check_compatible(p0: Distribution, like: Distribution) -> CompatibilityRepor
 
 
 def _product(p0: Distribution, aligned: _Aligned, a: float, b: float) -> Distribution:
-    """The normalized product ``p0**a * pL**b`` on the joint support."""
+    """The normalized product ``p0**a * pL**b`` on the joint support.
+
+    A grid posterior whose total, a density or a cell mass is subnormal has
+    lost bits; it raises :class:`IncompatibleError` at the first such cell.
+    """
     values = aligned.products(a, b)
     total = aligned.scale * math.fsum(values)
     if not _compatible(total):
@@ -246,6 +234,15 @@ def _product(p0: Distribution, aligned: _Aligned, a: float, b: float) -> Distrib
     densities = [0.0] * p0.n_cells
     for i, value in zip(aligned.labels, values):
         densities[i] = value / total
+    # Rounding is monotone, so these are the smallest density and cell mass.
+    low = min(values) / total
+    if min(total, low, p0.delta * low) < _MIN_NORMAL:
+        lost = next(
+            i
+            for i in aligned.labels
+            if min(total, densities[i], p0.delta * densities[i]) < _MIN_NORMAL
+        )
+        raise IncompatibleError(f"prior-likelihood product underflows at {lost}")
     return GridDensity(p0.origin, p0.delta, tuple(densities))
 
 
@@ -254,14 +251,17 @@ def bayes_posterior(p0: Distribution, like: Distribution) -> Distribution:
     return _product(p0, _align(p0, like).require_compatible(), 1.0, 1.0)
 
 
-def weighted_posterior(pair: WeightedPair) -> Distribution:
-    """Posterior proportional to ``p0**a * pL**b`` with normalized exponents.
+def weighted_posterior(p0: Distribution, like: Distribution, w0: float, wL: float) -> Distribution:
+    """Posterior proportional to ``p0**a * pL**b``, where ``(a, b)`` are the
+    positive weights ``(w0, wL)`` divided by their maximum.
 
     With equal weights the exponents are both 1 and the result coincides
     with :func:`bayes_posterior`.  Raises :class:`DegenerateProductError`
-    when the weighted product has zero or infinite total mass.
+    when the weighted product has zero or infinite total mass; unlike
+    :func:`bayes_posterior`, it does so before testing compatibility.
     """
-    return _product(pair.prior, _align(pair.prior, pair.likelihood), *pair.exponents)
+    a, b = _exponents(w0, wL)
+    return _product(p0, _align(p0, like), a, b)
 
 
 def linear_pool(p0: Distribution, like: Distribution) -> Distribution:

@@ -21,6 +21,11 @@ events as an independent check of the reduction.  Grid densities are
 handled through whole-cell events, i.e. as the discrete functional applied
 to cell masses.
 
+The trailing weights ``w0, wL`` of each functional charge
+``a * S_prior(A) + b * S_likelihood(A)`` with the exponents ``(a, b)`` of
+:mod:`bayesfuse.combine`; the bound becomes ``log2(1 / sum(p0**a * pL**b))``.
+Equal weights, the default, give the unweighted functional bit for bit.
+
 Everything here is a pure function over immutable values.  The exhaustive
 enumeration scores the events in fixed blocks of at most 16384 masks, in
 increasing mask order, with the same additions in the same order whatever
@@ -34,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .combine import WeightedPair, _align
+from .combine import _align, _exponents, require_same_representation
 from .dists import DiscreteDist, Distribution, GridDensity
 from .errors import (
     InvalidEventError,
@@ -119,26 +124,31 @@ def shannon_info(dist: Distribution, event: Event) -> float:
     return -math.log2(prob)
 
 
-def combined_info(p0: Distribution, like: Distribution, event: Event) -> float:
-    """Information charged by prior and likelihood jointly: ``S_P0(A) + S_L(A)``."""
-    return shannon_info(p0, event) + shannon_info(like, event)
-
-
-def weighted_combined_info(pair: WeightedPair, event: Event) -> float:
-    """Weight-normalized combined information ``a * S_P0(A) + b * S_L(A)``.
+def combined_info(
+    p0: Distribution, like: Distribution, event: Event, w0: float = 1.0, wL: float = 1.0
+) -> float:
+    """Information charged by prior and likelihood jointly, ``a * S_P0(A) + b * S_L(A)``.
 
     The exponents ``(a, b)`` are the weights divided by their maximum, so
-    equal weights reduce this exactly to :func:`combined_info`.
+    equal weights, the default, give ``S_P0(A) + S_L(A)``.
     """
-    a, b = pair.exponents
-    return a * shannon_info(pair.prior, event) + b * shannon_info(
-        pair.likelihood, event
-    )
+    a, b = _exponents(w0, wL)
+    require_same_representation(p0, like)
+    return a * shannon_info(p0, event) + b * shannon_info(like, event)
 
 
-def _singleton_max_loss(
-    p1: Distribution, p0: Distribution, like: Distribution, a: float, b: float
+def max_loss(
+    p1: Distribution, p0: Distribution, like: Distribution, w0: float = 1.0, wL: float = 1.0
 ) -> LossReport:
+    """Supremum over nonempty events of the information lost by ``p1``,
+    against :func:`combined_info` with the same weights.
+
+    Computed as the maximum over singletons of the joint support, which the
+    union inequality shows is exact.  The value is ``+inf`` when ``p1``
+    carries mass anywhere the prior-likelihood product vanishes.  The lower
+    bound ``-log2 sum(p0**a * pL**b)`` is attained by the weighted posterior.
+    """
+    a, b = _exponents(w0, wL)
     aligned = _align(p0, like, p1).require_compatible()
     labels, (u, v, q) = aligned.labels, aligned.cell_masses()
     lower_bound = aligned.bound(a, b)
@@ -157,26 +167,6 @@ def _singleton_max_loss(
             best_value = value
             best_label = labels[i]
     return LossReport(max(best_value, 0.0), Event.of(best_label), lower_bound)
-
-
-def max_loss(p1: Distribution, p0: Distribution, like: Distribution) -> LossReport:
-    """Supremum over nonempty events of the information lost by ``p1``.
-
-    Computed as the maximum over singletons of the joint support, which the
-    union inequality shows is exact.  The value is ``+inf`` when ``p1``
-    carries mass anywhere the prior-likelihood product vanishes.
-    """
-    return _singleton_max_loss(p1, p0, like, 1.0, 1.0)
-
-
-def weighted_max_loss(p1: Distribution, pair: WeightedPair) -> LossReport:
-    """Maximum loss against the weighted combined information of the pair.
-
-    The lower bound is ``log2`` of the reciprocal of the weighted-product
-    normalizer ``sum(p0**a * pL**b)``, attained by the weighted posterior.
-    """
-    a, b = pair.exponents
-    return _singleton_max_loss(p1, pair.prior, pair.likelihood, a, b)
 
 
 def _subset_sums(values) -> np.ndarray:
@@ -199,9 +189,16 @@ def _mask_event(mask: int, labels) -> Event:
     return Event(frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1))
 
 
-def _exhaustive_max_loss(
-    p1: Distribution, p0: Distribution, like: Distribution, a: float, b: float
+def max_loss_exhaustive(
+    p1: DiscreteDist, p0: DiscreteDist, like: DiscreteDist, w0: float = 1.0, wL: float = 1.0
 ) -> LossReport:
+    """Same contract as :func:`max_loss`, by brute force over all events.
+
+    Enumerates every nonempty subset of the joint support (capped at 20
+    atoms) and therefore does not rely on the singleton reduction; it is
+    the independent oracle guarding it.
+    """
+    a, b = _exponents(w0, wL)
     if isinstance(p0, GridDensity) or isinstance(p1, GridDensity):
         raise RepresentationMismatchError("exhaustive enumeration is defined for discrete inputs")
     aligned = _align(p0, like, p1).require_compatible()
@@ -235,21 +232,3 @@ def _exhaustive_max_loss(
         if losses[best] > best_value:
             best_value, best_mask = float(losses[best]), (high << low) + first + best
     return LossReport(max(best_value, 0.0), _mask_event(best_mask, labels), lower_bound)
-
-
-def max_loss_exhaustive(
-    p1: DiscreteDist, p0: DiscreteDist, like: DiscreteDist
-) -> LossReport:
-    """Same contract as :func:`max_loss`, by brute force over all events.
-
-    Enumerates every nonempty subset of the joint support (capped at 20
-    atoms) and therefore does not rely on the singleton reduction; it is
-    the independent oracle guarding it.
-    """
-    return _exhaustive_max_loss(p1, p0, like, 1.0, 1.0)
-
-
-def weighted_max_loss_exhaustive(p1: DiscreteDist, pair: WeightedPair) -> LossReport:
-    """Brute-force twin of :func:`weighted_max_loss` over all events."""
-    a, b = pair.exponents
-    return _exhaustive_max_loss(p1, pair.prior, pair.likelihood, a, b)

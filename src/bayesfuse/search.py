@@ -6,6 +6,9 @@ multiples of ``1/K`` on the joint support, evaluate the chosen objective
 on each, and report the grid minimizer.  Watching the argmin converge to
 the closed form as ``K`` grows is the package's empirical check that the
 product-rule (and weighted) posteriors really are the optimizers.
+``minimize_max_loss`` takes the weights ``w0`` and ``wL`` as trailing
+arguments, equal by default, and cross-checks its minimum with
+``max_loss_exhaustive`` under the same weights.
 
 The grid is enumerated in numpy blocks of at most 16384 lexicographic
 rows, so memory stays bounded, and the reduction keeps the first minimum
@@ -18,14 +21,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .combine import WeightedPair, _align
+from .combine import _align, _exponents
 from .dists import DiscreteDist, _unit_mass
 from .errors import (
     CrossCheckError,
     RepresentationMismatchError,
     TooLargeError,
 )
-from .information import _CHUNK_SIZE, weighted_max_loss_exhaustive
+from .information import _CHUNK_SIZE, max_loss_exhaustive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,9 +146,13 @@ def default_resolution(n: int) -> int:
     return 200 if n <= 3 else 60
 
 
-def _minimize_loss(
-    p0: DiscreteDist, like: DiscreteDist, a: float, b: float, K: int
+def minimize_max_loss(
+    p0: DiscreteDist, like: DiscreteDist, K: int, w0: float = 1.0, wL: float = 1.0
 ) -> SearchResult:
+    """Scan the simplex grid for the pmf with the smallest maximum information
+    loss, against :func:`~bayesfuse.information.combined_info` with the same weights."""
+    a, b = _exponents(w0, wL)
+
     def evaluate(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         import numpy as np
 
@@ -153,23 +160,13 @@ def _minimize_loss(
 
     result = _scan(p0, like, K, evaluate, a, b)
     if len(result.argmin.atoms) <= _CROSS_CHECK_MAX_ATOMS:
-        full = weighted_max_loss_exhaustive(result.argmin, WeightedPair(p0, like, a, b))
+        full = max_loss_exhaustive(result.argmin, p0, like, w0, wL)
         margin = abs(full.value - result.min_value)
         if margin > _CROSS_CHECK_TOL:
             raise CrossCheckError(
                 f"singleton fast path disagrees with exhaustive events by {margin!r} bits"
             )
     return result
-
-
-def minimize_max_loss(p0: DiscreteDist, like: DiscreteDist, K: int) -> SearchResult:
-    """Scan the simplex grid for the pmf with the smallest maximum information loss."""
-    return _minimize_loss(p0, like, 1.0, 1.0, K)
-
-
-def minimize_weighted_loss(pair: WeightedPair, K: int) -> SearchResult:
-    """Grid search against the weighted maximum-loss objective."""
-    return _minimize_loss(pair.prior, pair.likelihood, *pair.exponents, K)
 
 
 def minimize_mlr_spread(p0: DiscreteDist, like: DiscreteDist, K: int) -> SearchResult:

@@ -15,7 +15,6 @@ from bayesfuse import (
     DiscreteDist,
     DistFamily,
     Event,
-    WeightedPair,
     bayes_posterior,
     check_compatible,
     discretize,
@@ -26,13 +25,10 @@ from bayesfuse import (
     max_loss_exhaustive,
     minimize_max_loss,
     minimize_mlr_spread,
-    minimize_weighted_loss,
     mlr_spread,
     proportionality_check,
     shannon_info,
     smooth_uniform,
-    weighted_max_loss,
-    weighted_max_loss_exhaustive,
     weighted_posterior,
 )
 from bayesfuse.cli import main as cli_main
@@ -91,10 +87,9 @@ def test_criterion_3_singleton_reduction_matches_exhaustive(corpus, rng):
                 slow = max_loss_exhaustive(candidate, prior, like)
                 assert abs(fast.value - slow.value) <= 1e-12
             for w0, wL in weight_grid:
-                pair = WeightedPair(prior, like, w0, wL)
-                for candidate in (weighted_posterior(pair), candidates[1]):
-                    fast = weighted_max_loss(candidate, pair)
-                    slow = weighted_max_loss_exhaustive(candidate, pair)
+                for candidate in (weighted_posterior(prior, like, w0, wL), candidates[1]):
+                    fast = max_loss(candidate, prior, like, w0, wL)
+                    slow = max_loss_exhaustive(candidate, prior, like, w0, wL)
                     assert abs(fast.value - slow.value) <= 1e-12
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
@@ -149,16 +144,15 @@ def test_criterion_7_weighted_posterior_closed_form(corpus):
     with criterion("7 weighted posterior: equal-weight collapse, 2:1 form, search"):
         for prior, like in corpus:
             post = bayes_posterior(prior, like)
-            equal = weighted_posterior(WeightedPair(prior, like, 3.0, 3.0))
+            equal = weighted_posterior(prior, like, 3.0, 3.0)
             assert linf_distance(equal, post) <= 1e-12
         prior = DiscreteDist((("0", 0.5), ("1", 0.5)))
         like = DiscreteDist((("0", 0.8), ("1", 0.2)))
-        pair = WeightedPair(prior, like, 2.0, 1.0)
-        closed = weighted_posterior(pair)
+        closed = weighted_posterior(prior, like, 2.0, 1.0)
         closed_m = closed.as_dict()
         assert abs(closed_m["0"] - 2.0 / 3.0) <= 1e-12
         assert abs(closed_m["1"] - 1.0 / 3.0) <= 1e-12
-        result = minimize_weighted_loss(pair, 300)
+        result = minimize_max_loss(prior, like, 300, 2.0, 1.0)
         assert linf_distance(result.argmin, closed) <= 1.0 / 300
 
 

@@ -209,6 +209,29 @@ class TestLossCommand:
         assert report_value(out, "attained") == "true"
         assert report_value(out, "value_bits") == report_value(out, "lower_bound_bits")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "discrete", "atoms": [["0", 1.0000000009]]},
+            {"kind": "grid", "origin": 0, "delta": 1, "densities": [1.0000005]},
+            {"kind": "discrete", "atoms": [["0", 1.0]]},
+        ],
+        ids=["discrete-above-one", "grid-above-one", "point-mass"],
+    )
+    def test_bound_is_clamped_at_zero(self, capsys, files, payload):
+        """A total mass above 1, within the tolerance, puts the overlap above
+        1; the bound stays at 0, the least loss, and the product rule meets it."""
+        dist = files["write"]("dist.json", payload)
+        post = str(files["tmp"] / "post.json")
+        code, out, _ = run(capsys, "posterior", dist, dist, "--out", post)
+        assert code == 0
+        assert report_value(out, "loss_lower_bound_bits") == "0"
+        code, out, _ = run(capsys, "loss", post, dist, dist, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["value_bits"], report["attained"]) == (0, True)
+        assert '"lower_bound_bits": 0.0,' in out
+
     def test_uniform_candidate_loses_log2_ten_bits(self, capsys, files):
         code, out, _ = run(capsys, "loss", files["prior"], files["prior"], files["skew"])
         assert code == 0
@@ -330,12 +353,12 @@ class TestVerifyCommand:
         assert err.startswith("error: --K must be at least 1")
 
     def test_cross_check_disagreement_exits_one(self, capsys, files, monkeypatch):
-        real = search.weighted_max_loss_exhaustive
+        real = search.max_loss_exhaustive
 
-        def skewed(p1, pair):
-            return dataclasses.replace(real(p1, pair), value=5.0)
+        def skewed(p1, p0, like, w0, wL):
+            return dataclasses.replace(real(p1, p0, like, w0, wL), value=5.0)
 
-        monkeypatch.setattr(search, "weighted_max_loss_exhaustive", skewed)
+        monkeypatch.setattr(search, "max_loss_exhaustive", skewed)
         code, out, err = run(capsys, "verify", files["prior"], files["like"], "--K", "20")
         assert code == 1
         assert out == ""
@@ -638,7 +661,8 @@ class TestMlrCommand:
 
 
 class TestUnderflowingProducts:
-    """A joint term that underflows to a subnormal exits 3, naming its label."""
+    """A joint term that underflows to a subnormal exits 3, naming its label,
+    and so does a grid posterior whose total, density or cell mass does."""
 
     @pytest.fixture()
     def pairs(self, files):
@@ -654,6 +678,17 @@ class TestUnderflowingProducts:
                 "kind": "grid", "origin": 0.0, "delta": 0.25,
                 "densities": [0, 4, 7.06e-160, 7.49e-160],
             }),
+            # The joint terms are normal, but cell 1's posterior mass is 9e-324.
+            "cell_underflow": write("cu.json", {
+                "kind": "grid", "origin": 0, "delta": 1e-100, "densities": [1e100, 3e-62],
+            }),
+            # Cell 2's joint term, 1e-307, is normal, but the total is 1e-318.
+            "total_prior": write("ttp.json", {
+                "kind": "grid", "origin": 0, "delta": 1e-11, "densities": [0, 0, 1e-52, 0, 1e11],
+            }),
+            "total_like": write("ttl.json", {
+                "kind": "grid", "origin": 0, "delta": 1e-11, "densities": [0, 0, 1e-255, 1e11, 0],
+            }),
             "prior": write("tp.json", tiny),
             "like": write("tl.json", {**tiny, "atoms": [["0", 1e-160], ["1", 1e-160], ["3", 1 - 2e-160]]}),
             "candidate": write("tc.json", {"kind": "discrete", "atoms": [["0", 0.5], ["1", 0.5]]}),
@@ -664,6 +699,8 @@ class TestUnderflowingProducts:
         "argv, label",
         [
             (["posterior", "grid_prior", "grid_like"], "3"),
+            (["posterior", "cell_underflow", "cell_underflow", "--out", "out"], "1"),
+            (["posterior", "total_prior", "total_like", "--out", "out"], "2"),
             (["posterior", "prior", "like", "--out", "out"], "0"),
             (["mlr", "candidate", "prior", "like"], "0"),
             (["verify", "prior", "like", "--K", "4"], "0"),

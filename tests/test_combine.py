@@ -13,7 +13,6 @@ from bayesfuse import (
     GridDensity,
     IncompatibleError,
     RepresentationMismatchError,
-    WeightedPair,
     bayes_posterior,
     check_compatible,
     discretize,
@@ -22,6 +21,7 @@ from bayesfuse import (
     proportionality_check,
     weighted_posterior,
 )
+from bayesfuse.combine import _exponents
 from conftest import dirichlet_alternative
 
 TWO_ATOM_PRIOR = DiscreteDist((("0", 0.5), ("1", 0.5)))
@@ -89,7 +89,7 @@ class TestBayesPosterior:
         # as a zero-mass atom, under either rule.
         tiny = DiscreteDist((("1", 1.0), ("2", 1e-200)))
         assert bayes_posterior(tiny, tiny).atoms == (("1", 1.0),)
-        assert weighted_posterior(WeightedPair(tiny, tiny, 3.0, 3.0)).atoms == (("1", 1.0),)
+        assert weighted_posterior(tiny, tiny, 3.0, 3.0).atoms == (("1", 1.0),)
 
     def test_incompatible_raises(self):
         far = DiscreteDist((("2", 0.5), ("3", 0.5)))
@@ -120,31 +120,30 @@ class TestWeightedPosterior:
         for prior, like in [*corpus[:20], grid_pair]:
             bayes = bayes_posterior(prior, like)
             for w in (1.0, 7.0):
-                weighted = weighted_posterior(WeightedPair(prior, like, w, w))
+                weighted = weighted_posterior(prior, like, w, w)
                 assert weighted == bayes
 
     def test_two_one_weighting_hand_value(self):
-        pair = WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 2.0, 1.0)
-        post = weighted_posterior(pair).as_dict()
+        post = weighted_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 2.0, 1.0).as_dict()
         # masses proportional to (0.5 * sqrt(0.8), 0.5 * sqrt(0.2)), i.e. 2:1
         assert post["0"] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert post["1"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_only_relative_weights_matter(self):
-        base = weighted_posterior(WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 2.0, 1.0))
-        scaled = weighted_posterior(WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 14.0, 7.0))
+        base = weighted_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 2.0, 1.0)
+        scaled = weighted_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 14.0, 7.0)
         assert base == scaled
 
     def test_degenerate_product(self):
         far = DiscreteDist((("2", 0.5), ("3", 0.5)))
         with pytest.raises(DegenerateProductError):
-            weighted_posterior(WeightedPair(TWO_ATOM_PRIOR, far, 2.0, 1.0))
+            weighted_posterior(TWO_ATOM_PRIOR, far, 2.0, 1.0)
 
     def test_weights_must_be_positive(self):
-        with pytest.raises(ValueError):
-            WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 1.0, -2.0)
+        with pytest.raises(ValueError, match="prior weight must be positive"):
+            weighted_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 0.0, 1.0)
+        with pytest.raises(ValueError, match="likelihood weight must be positive"):
+            weighted_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 1.0, -2.0)
 
     @pytest.mark.parametrize(
         "w0, wL", [(1e-300, 1e300), (1e300, 1e-300), (1.0, 1e308), (sys.float_info.min / 2, 1.0)]
@@ -153,17 +152,16 @@ class TestWeightedPosterior:
         # The smaller exponent would be 0.0 or subnormal: a positive weight
         # that acts as zero.
         with pytest.raises(ValueError, match="past the float range"):
-            WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, w0, wL)
+            weighted_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, w0, wL)
 
     def test_smallest_normal_exponent_is_kept(self):
-        pair = WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, sys.float_info.min, 1.0)
-        assert pair.exponents == (sys.float_info.min, 1.0)
+        assert _exponents(sys.float_info.min, 1.0) == (sys.float_info.min, 1.0)
 
     def test_grid_weighted_matches_pointwise_formula(self):
         grid = (-8.0, 0.01, 1700)
         g0 = discretize(DistFamily.normal(0.0, 1.0), grid)
         g1 = discretize(DistFamily.normal(1.0, 1.0), grid)
-        post = weighted_posterior(WeightedPair(g0, g1, 3.0, 1.0))
+        post = weighted_posterior(g0, g1, 3.0, 1.0)
         raw = [f0 ** 1.0 * fl ** (1.0 / 3.0) for f0, fl in zip(g0.densities, g1.densities)]
         total = post.delta * math.fsum(raw)
         for got, expect in zip(post.densities[::100], raw[::100]):

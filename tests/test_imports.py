@@ -301,3 +301,27 @@ def test_conflation_arithmetic_lives_in_combine():
         m for m, source in sources.items() for _ in re.finditer(r"0\.0 < [\w.]+ < math\.inf", source)
     ]
     assert rules == ["combine.py"]
+
+
+def _module_level_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for every function, class and assignment at module level."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((module, node.name))
+            elif isinstance(node, ast.Assign):
+                found += [(module, t.id) for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                found.append((module, node.target.id))
+    return found
+
+
+def test_weights_are_arguments_of_one_function_per_objective():
+    """Each loss objective is one function taking ``w0`` and ``wL``: no module
+    defines a ``WeightedPair`` or a public weighted twin.  The weighted
+    posterior stays, since its errors rank differently from the product rule's."""
+    names = _module_level_names(_package_sources())
+    weighted = [(m, n) for m, n in names if "weighted" in n and not n.startswith("_")]
+    assert weighted == [("combine.py", "weighted_posterior")]
+    assert [(m, n) for m, n in names if n == "WeightedPair"] == []

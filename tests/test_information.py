@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bayesfuse import (
@@ -18,8 +18,9 @@ from bayesfuse import (
     IncompatibleError,
     InvalidEventError,
     LossReport,
+    RepresentationMismatchError,
+    SearchResult,
     TooLargeError,
-    WeightedPair,
     bayes_posterior,
     check_compatible,
     combined_info,
@@ -29,14 +30,11 @@ from bayesfuse import (
     max_loss_exhaustive,
     normalize,
     shannon_info,
-    weighted_combined_info,
-    weighted_max_loss,
-    weighted_max_loss_exhaustive,
     minimize_max_loss,
     weighted_posterior,
 )
 from bayesfuse import information
-from bayesfuse.combine import _align
+from bayesfuse.combine import _align, _exponents
 from bayesfuse.information import _block_sums, _subset_sums
 from conftest import dirichlet_alternative
 
@@ -111,25 +109,28 @@ class TestCombinedInfo:
         degenerate = DiscreteDist((("0", 1.0), ("1", 0.0)))
         assert combined_info(TWO_ATOM_PRIOR, degenerate, Event.of("1")) == math.inf
 
+    @pytest.mark.parametrize("weights", [(), (2.0, 1.0)], ids=["plain", "weighted"])
+    def test_representation_mismatch_is_refused(self, weights):
+        grid = GridDensity(0.0, 1.0, (1.0,))
+        with pytest.raises(RepresentationMismatchError, match="cannot mix"):
+            combined_info(TWO_ATOM_PRIOR, grid, Event.of("0"), *weights)
+
 
 class TestWeightedCombinedInfo:
     def test_equal_weights_reduce_exactly(self, corpus):
         for prior, like in corpus[:10]:
             event = Event.of(prior.keys[0])
-            pair = WeightedPair(prior, prior, 3.0, 3.0)
-            assert weighted_combined_info(pair, event) == combined_info(
+            assert combined_info(prior, prior, event, 3.0, 3.0) == combined_info(
                 prior, prior, event
             )
 
     def test_whole_space_is_zero_for_any_weights(self):
-        pair = WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 5.0, 2.0)
-        assert weighted_combined_info(pair, Event.of("0", "1")) == 0.0
+        assert combined_info(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, Event.of("0", "1"), 5.0, 2.0) == 0.0
 
     def test_hand_computed_value(self):
         quarter = DiscreteDist((("0", 0.25), ("1", 0.75)))
-        pair = WeightedPair(quarter, TWO_ATOM_PRIOR, 2.0, 1.0)
         # exponents (1, 0.5): 1 * 2 bits + 0.5 * 1 bit
-        assert weighted_combined_info(pair, Event.of("0")) == 2.5
+        assert combined_info(quarter, TWO_ATOM_PRIOR, Event.of("0"), 2.0, 1.0) == 2.5
 
 
 class TestMaxLoss:
@@ -272,11 +273,10 @@ def _bits(report):
 
 
 def _assert_blocked_matches_whole_array(p1, p0, like, w0=1.0, wL=1.0):
-    pair = WeightedPair(p0, like, w0, wL)
-    blocked = weighted_max_loss_exhaustive(p1, pair)
+    blocked = max_loss_exhaustive(p1, p0, like, w0, wL)
     if (w0, wL) == (1.0, 1.0):
         assert max_loss_exhaustive(p1, p0, like) == blocked
-    reference = _whole_array_exhaustive_max_loss(p1, p0, like, *pair.exponents)
+    reference = _whole_array_exhaustive_max_loss(p1, p0, like, *_exponents(w0, wL))
     assert _bits(blocked) == _bits(reference)
 
 
@@ -334,7 +334,7 @@ class TestBlockedEnumeration:
     def test_uniform_ties_keep_the_lowest_mask(self, monkeypatch, bits, weights):
         uniform = normalize((k, 1.0) for k in range(10))
         monkeypatch.setattr(information, "_CHUNK_SIZE", 2**bits)
-        report = weighted_max_loss_exhaustive(uniform, WeightedPair(uniform, uniform, *weights))
+        report = max_loss_exhaustive(uniform, uniform, uniform, *weights)
         assert report.witness == Event.of("0")
         _assert_blocked_matches_whole_array(uniform, uniform, uniform, *weights)
 
@@ -360,9 +360,9 @@ _EXTREME_MASSES = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
 _EXTREME_WEIGHTS = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 
 
-def _loss_outcome(loss, candidate, pair):
+def _loss_outcome(loss, candidate, prior, like, w0, wL):
     try:
-        return loss(candidate, pair)
+        return loss(candidate, prior, like, w0, wL)
     except BayesfuseError as err:
         return type(err), str(err)
 
@@ -383,14 +383,13 @@ class TestSingletonReductionAtExtremes:
         prior, like, candidate = (
             normalize((k, row[j]) for k, row in enumerate(masses)) for j in range(3)
         )
-        pair = WeightedPair(prior, like, w0, wL)
         if product_rule:
             try:
-                candidate = weighted_posterior(pair)
+                candidate = weighted_posterior(prior, like, w0, wL)
             except BayesfuseError:
                 pass
-        fast = _loss_outcome(weighted_max_loss, candidate, pair)
-        slow = _loss_outcome(weighted_max_loss_exhaustive, candidate, pair)
+        fast = _loss_outcome(max_loss, candidate, prior, like, w0, wL)
+        slow = _loss_outcome(max_loss_exhaustive, candidate, prior, like, w0, wL)
         if isinstance(fast, tuple) or isinstance(slow, tuple):
             assert fast == slow
             return
@@ -429,26 +428,23 @@ class TestWeightedMaxLoss:
     def test_weighted_posterior_attains_for_weight_grid(self, corpus):
         for prior, like in corpus[:15]:
             for w0, wL in itertools.product((1.0, 2.0, 5.0), repeat=2):
-                pair = WeightedPair(prior, like, w0, wL)
-                post = weighted_posterior(pair)
-                report = weighted_max_loss(post, pair)
+                post = weighted_posterior(prior, like, w0, wL)
+                report = max_loss(post, prior, like, w0, wL)
                 assert report.attained, (w0, wL)
-                slow = weighted_max_loss_exhaustive(post, pair)
+                slow = max_loss_exhaustive(post, prior, like, w0, wL)
                 assert abs(report.value - slow.value) <= 1e-12
 
     def test_equal_weights_give_identical_reports(self, corpus):
         for prior, like in corpus[:10]:
             post = bayes_posterior(prior, like)
-            pair = WeightedPair(prior, like, 4.0, 4.0)
-            assert weighted_max_loss(post, pair) == max_loss(post, prior, like)
+            assert max_loss(post, prior, like, 4.0, 4.0) == max_loss(post, prior, like)
 
     def test_dominant_prior_weight_approaches_the_prior_only_limit(self):
         """With weights 100:1 the loss of the prior itself is within 0.02 bits
         of its value in the likelihood-weight-to-zero limit, which is 0."""
         prior = DiscreteDist((("0", 0.6), ("1", 0.4)))
         like = DiscreteDist((("0", 0.7), ("1", 0.3)))
-        pair = WeightedPair(prior, like, 100.0, 1.0)
-        report = weighted_max_loss(prior, pair)
+        report = max_loss(prior, prior, like, 100.0, 1.0)
         # limit objective: max over atoms of (1/100) * -log2(pL)
         limit = 0.0
         assert abs(report.value - limit) < 0.02
@@ -457,9 +453,8 @@ class TestWeightedMaxLoss:
         grid = (-8.0, 0.01, 1700)
         g0 = discretize(DistFamily.normal(0.0, 1.0), grid)
         g1 = discretize(DistFamily.normal(1.0, 1.0), grid)
-        pair = WeightedPair(g0, g1, 2.0, 1.0)
-        post = weighted_posterior(pair)
-        assert weighted_max_loss(post, pair).attained
+        post = weighted_posterior(g0, g1, 2.0, 1.0)
+        assert max_loss(post, g0, g1, 2.0, 1.0).attained
 
 
 class TestBoundOverSubnormalTerms:
@@ -473,13 +468,22 @@ class TestBoundOverSubnormalTerms:
         prior = DiscreteDist.from_pairs([("0", mass), ("1", mass), ("2", 1.0)])
         like = DiscreteDist.from_pairs([("0", mass), ("1", mass), ("3", 1.0)])
         post = DiscreteDist.from_pairs([("0", 0.5), ("1", 0.5)])
-        pair = WeightedPair(prior, like, w0, wL)
-        a, b = pair.exponents
+        a, b = _exponents(w0, wL)
         bound = -1.0 - (a + b) * math.log2(mass)
-        for loss in (weighted_max_loss, weighted_max_loss_exhaustive):
-            report = loss(post, pair)
+        for loss in (max_loss, max_loss_exhaustive):
+            report = loss(post, prior, like, w0, wL)
             assert report.attained
             assert abs(report.lower_bound - bound) <= 1e-12 * bound
+
+
+    def test_bound_over_a_mass_above_one_is_clamped_at_zero(self):
+        """A mass above 1, within the tolerance, puts the sum above 1 on the
+        log-space path too; the bound stays at 0, where the loss is."""
+        pair = DiscreteDist((("0", 1.0000000009), ("1", 1e-160)))
+        post = DiscreteDist((("0", 1.0),))
+        for loss in (max_loss, max_loss_exhaustive):
+            report = loss(post, pair, pair)
+            assert (report.value, report.lower_bound, report.attained) == (0.0, 0.0, True)
 
 
 class TestLossReportInvariants:
@@ -531,10 +535,124 @@ class TestGridIsDiscreteOnCellMasses:
         for grid_report, discrete_report in (
             (max_loss(g1, g0, gl), max_loss(d1, d0, dl)),
             (
-                weighted_max_loss(g1, WeightedPair(g0, gl, w0, wL)),
-                weighted_max_loss(d1, WeightedPair(d0, dl, w0, wL)),
+                max_loss(g1, g0, gl, w0, wL),
+                max_loss(d1, d0, dl, w0, wL),
             ),
         ):
             assert grid_report.value == discrete_report.value
             assert grid_report.lower_bound == discrete_report.lower_bound
             assert grid_report.attained == discrete_report.attained
+
+
+# The total mass a file may carry: 1 within each kind's tolerance.
+_MASS_TOL = {"discrete": 1e-9, "grid": 1e-6}
+
+
+@st.composite
+def _extreme_pairs(draw):
+    """A prior and a likelihood, discrete or on one grid, with masses
+    log-uniform down to 1e-300, a cell width far from 1 and a total mass
+    anywhere inside the tolerance."""
+    kind = draw(st.sampled_from(["discrete", "grid"]))
+    n = draw(st.integers(1, 8))
+    delta = 10.0 ** draw(st.floats(-100.0, 100.0))
+    pair = []
+    for _ in range(2):
+        raw = draw(st.lists(st.one_of(st.just(0.0), _EXTREME_MASSES), min_size=n, max_size=n))
+        assume(any(raw))
+        total = math.fsum(raw) / (1.0 + draw(st.floats(-0.99, 0.99)) * _MASS_TOL[kind])
+        try:
+            if kind == "discrete":
+                pair.append(DiscreteDist(tuple((str(k), m / total) for k, m in enumerate(raw))))
+            else:
+                pair.append(GridDensity(0.0, delta, tuple(m / total / delta for m in raw)))
+        except (ValueError, BayesfuseError):
+            assume(False)  # rounding put the total outside the tolerance, or overflow
+    return tuple(pair)
+
+
+class TestBoundAttainmentAtExtremes:
+    @settings(deadline=None, max_examples=150)
+    @given(pair=_extreme_pairs(), w0=_EXTREME_WEIGHTS, wL=_EXTREME_WEIGHTS)
+    @example(pair=(DiscreteDist((("0", 1.0000000009),)),) * 2, w0=1.0, wL=1.0)
+    @example(pair=(GridDensity(0.0, 1.0, (1.0000005,)),) * 2, w0=1.0, wL=1.0)
+    @example(pair=(GridDensity(0.0, 1e-100, (1e100, 3e-62)),) * 2, w0=1.0, wL=1.0)
+    @example(
+        pair=(
+            GridDensity(0.0, 1e-9, (0.0, 0.0, 1e-50, 0.0, 999999999.9999999)),
+            GridDensity(0.0, 1e-9, (0.0, 0.0, 1e-254, 999999999.9999999, 0.0)),
+        ),
+        w0=1.0,
+        wL=1.0,
+    )
+    def test_plain_and_weighted_posteriors_attain_their_bounds(self, pair, w0, wL):
+        """Each rule either raises a package error or attains its bound."""
+        prior, like = pair
+        for rule, weights in (
+            (lambda: bayes_posterior(prior, like), (1.0, 1.0)),
+            (lambda: weighted_posterior(prior, like, w0, wL), (w0, wL)),
+        ):
+            try:
+                post = rule()
+                report = max_loss(post, prior, like, *weights)
+            except BayesfuseError:
+                continue
+            assert report.attained, (weights, report)
+
+
+def _outcome(call):
+    """The bits of a result, or the type and message of its package error."""
+    try:
+        result = call()
+    except BayesfuseError as err:
+        return type(err), str(err)
+    if isinstance(result, float):
+        return result.hex()
+    if isinstance(result, LossReport):
+        return _bits(result)
+    if isinstance(result, SearchResult):
+        return result.argmin, result.min_value.hex(), result.runner_up_value.hex()
+    return result
+
+
+class TestEqualWeights:
+    """Equal weights are the unweighted objectives bit for bit, and only the
+    ratio of the weights matters."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=_exhaustive_cases(), w=_EXTREME_WEIGHTS, data=st.data())
+    def test_equal_weights_are_the_default(self, case, w, data):
+        candidate, prior, like = case
+        n = len(prior.atoms)
+        event = Event(frozenset(data.draw(st.sets(st.sampled_from(prior.keys), min_size=1))))
+        calls = [
+            lambda *ws: max_loss(candidate, prior, like, *ws),
+            lambda *ws: combined_info(prior, like, event, *ws),
+        ]
+        if n <= 12:
+            calls.append(lambda *ws: max_loss_exhaustive(candidate, prior, like, *ws))
+        if n <= 4:
+            K = data.draw(st.integers(1, 8))
+            calls.append(lambda *ws: minimize_max_loss(prior, like, K, *ws))
+        for call in calls:
+            assert _outcome(lambda: call(w, w)) == _outcome(call)
+        assert _outcome(lambda: weighted_posterior(prior, like, w, w)) == _outcome(
+            lambda: bayes_posterior(prior, like)
+        )
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        case=_exhaustive_cases(),
+        w0=_EXTREME_WEIGHTS,
+        wL=_EXTREME_WEIGHTS,
+        power=st.integers(-60, 60).map(lambda k: 2.0**k),
+    )
+    def test_scaling_both_weights_by_a_power_of_two_changes_nothing(self, case, w0, wL, power):
+        candidate, prior, like = case
+        for call in (
+            lambda *ws: weighted_posterior(prior, like, *ws),
+            lambda *ws: max_loss(candidate, prior, like, *ws),
+        ):
+            assert _outcome(lambda: call(w0 * power, wL * power)) == _outcome(
+                lambda: call(w0, wL)
+            )

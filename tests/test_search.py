@@ -12,14 +12,12 @@ from bayesfuse import (
     DiscreteDist,
     IncompatibleError,
     TooLargeError,
-    WeightedPair,
     bayes_posterior,
     check_compatible,
     enumerate_simplex,
     linf_distance,
     minimize_max_loss,
     minimize_mlr_spread,
-    minimize_weighted_loss,
     mlr_spread,
     normalize,
     weighted_posterior,
@@ -167,12 +165,12 @@ class TestMinimizeMaxLoss:
             minimize_max_loss(big, big, 1000)
 
     def test_cross_check_disagreement_raises(self, monkeypatch):
-        real = search.weighted_max_loss_exhaustive
+        real = search.max_loss_exhaustive
 
-        def skewed(p1, pair):
-            return dataclasses.replace(real(p1, pair), value=2.0)
+        def skewed(p1, p0, like, w0, wL):
+            return dataclasses.replace(real(p1, p0, like, w0, wL), value=2.0)
 
-        monkeypatch.setattr(search, "weighted_max_loss_exhaustive", skewed)
+        monkeypatch.setattr(search, "max_loss_exhaustive", skewed)
         with pytest.raises(CrossCheckError, match=r"disagrees .* by [\d.e+-]+ bits"):
             minimize_max_loss(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 20)
 
@@ -187,29 +185,25 @@ class TestMinimizeMaxLoss:
 
 class TestMinimizeWeightedLoss:
     def test_equal_weights_reduce_to_the_plain_objective(self):
-        pair = WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 3.0, 3.0)
-        assert minimize_weighted_loss(pair, 200) == minimize_max_loss(
+        assert minimize_max_loss(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 200, 3.0, 3.0) == minimize_max_loss(
             TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 200
         )
 
     def test_two_one_weighting_localizes_the_closed_form(self):
-        pair = WeightedPair(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 2.0, 1.0)
-        result = minimize_weighted_loss(pair, 300)
-        closed = weighted_posterior(pair)
+        result = minimize_max_loss(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 300, 2.0, 1.0)
+        closed = weighted_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 2.0, 1.0)
         assert linf_distance(result.argmin, closed) <= 1.0 / 300
 
     def test_point_mass_prior(self):
         point = DiscreteDist((("2", 1.0),))
-        pair = WeightedPair(point, point, 9.0, 2.0)
-        result = minimize_weighted_loss(pair, 50)
+        result = minimize_max_loss(point, point, 50, 9.0, 2.0)
         assert result.argmin == point
 
     def test_argmin_tracks_the_weighted_closed_form(self, rng):
         for w0, wL in ((2.0, 1.0), (1.0, 5.0), (5.0, 2.0)):
             prior, like = random_pair(rng, 3)
-            pair = WeightedPair(prior, like, w0, wL)
-            result = minimize_weighted_loss(pair, 200)
-            closed = weighted_posterior(pair)
+            result = minimize_max_loss(prior, like, 200, w0, wL)
+            closed = weighted_posterior(prior, like, w0, wL)
             assert linf_distance(result.argmin, closed) <= 3 / 200
 
 
