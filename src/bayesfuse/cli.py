@@ -14,6 +14,13 @@ Reports are line-oriented ``key = value`` text, or a JSON object with
 reported number re-parses to the library's value bit for bit; in JSON,
 non-finite values are the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 
+``main`` owns what every subcommand shares.  It reads each input file
+once, in argv order, reports its path and SHA-256, and parses those
+bytes.  It then calls the subcommand's ``cmd_*`` handler, which checks
+its own flags and adds its results.  Last, it emits the report; and it
+maps errors to exit codes.  So an unreadable input is reported before a
+bad flag.
+
 numpy is imported only by the brute-force oracles: ``verify`` and
 ``loss --exhaustive``.  ``compat``, ``posterior``, ``loss``, ``mlr`` and
 ``smooth`` run on the standard library alone, on every file kind.
@@ -132,18 +139,17 @@ class Report:
         except BayesfuseError as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
 
-    def emit(self, as_json: bool, stream=None) -> None:
-        stream = stream or sys.stdout
+    def emit(self, as_json: bool) -> None:
         elapsed = time.perf_counter() - self.started
         if as_json:
             payload = {key: _json_value(value) for key, value in self.items}
             payload["elapsed_seconds"] = elapsed
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
+            json.dump(payload, sys.stdout, indent=2)
+            sys.stdout.write("\n")
         else:
             for key, value in self.items:
-                stream.write(f"{key} = {fmt17(value)}\n")
-            stream.write(f"elapsed_seconds = {fmt17(elapsed)}\n")
+                sys.stdout.write(f"{key} = {fmt17(value)}\n")
+            sys.stdout.write(f"elapsed_seconds = {fmt17(elapsed)}\n")
 
 
 def _add_distribution(report: Report, prefix: str, dist: Distribution) -> None:
@@ -159,10 +165,7 @@ def _add_distribution(report: Report, prefix: str, dist: Distribution) -> None:
 
 
 def _witness_text(event: Event) -> str:
-    members = list(event.members)
-    if all(isinstance(m, int) for m in members):
-        return ",".join(str(m) for m in sorted(members))
-    return ",".join(_ascending(map(str, members)))
+    return ",".join(_ascending(map(str, event.members)))
 
 
 def _weights(args) -> tuple[float, float] | None:
@@ -170,20 +173,14 @@ def _weights(args) -> tuple[float, float] | None:
         return None
     if args.w0 is None or args.wL is None:
         raise FileFormatError("--w0 and --wL must be given together")
-    for flag, value in (("--w0", args.w0), ("--wL", args.wL)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise FileFormatError(f"{flag} must be positive, got {value}")
     try:
         _exponents(args.w0, args.wL)
     except ValueError as exc:
         raise FileFormatError(f"--w0 and --wL: {exc}") from None
-    return float(args.w0), float(args.wL)
+    return args.w0, args.wL
 
 
-def cmd_posterior(args) -> int:
-    report = Report("posterior")
-    prior = report.add_input("prior", args.prior)
-    likelihood = report.add_input("likelihood", args.likelihood)
+def cmd_posterior(report: Report, args, prior, likelihood) -> int:
     weights = _weights(args)
     # One alignment gives the overlap, the posterior and max_loss's bound.
     aligned = _align(prior, likelihood)
@@ -205,15 +202,10 @@ def cmd_posterior(args) -> int:
     if args.out:
         save_distribution(posterior, args.out)
         report.add("out_file", args.out)
-    report.emit(args.json)
     return EXIT_OK
 
 
-def cmd_loss(args) -> int:
-    report = Report("loss")
-    posterior = report.add_input("posterior", args.posterior)
-    prior = report.add_input("prior", args.prior)
-    likelihood = report.add_input("likelihood", args.likelihood)
+def cmd_loss(report: Report, args, posterior, prior, likelihood) -> int:
     weights = _weights(args)
     if weights is None:
         report.add("objective", "shannon")
@@ -228,16 +220,12 @@ def cmd_loss(args) -> int:
     report.add("witness", _witness_text(result.witness))
     report.add("lower_bound_bits", result.lower_bound)
     report.add("attained", result.attained)
-    report.emit(args.json)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(report: Report, args, prior, likelihood) -> int:
     if args.K is not None and args.K < 1:
         raise FileFormatError(f"--K must be at least 1, got {args.K}")
-    report = Report("verify")
-    prior = report.add_input("prior", args.prior)
-    likelihood = report.add_input("likelihood", args.likelihood)
     # The scan, its cross-check and the closed form align the pair again on
     # their own: they are the independent oracles this command compares.
     n = len(_align(prior, likelihood).require_compatible().labels)
@@ -276,11 +264,10 @@ def cmd_verify(args) -> int:
     report.add("threshold", threshold)
     passed = distance <= threshold
     report.add("pass", passed)
-    report.emit(args.json)
     return EXIT_OK if passed else EXIT_FAIL
 
 
-def cmd_smooth(args) -> int:
+def cmd_smooth(report: Report, args, dist) -> int:
     for flag, value in (("--epsilon", args.epsilon), ("--delta", args.delta)):
         if not (math.isfinite(value) and value > 0.0):
             raise FileFormatError(f"{flag} must be positive, got {value}")
@@ -288,8 +275,6 @@ def cmd_smooth(args) -> int:
         raise FileFormatError(f"--origin must be finite, got {args.origin}")
     if args.cells is not None and args.cells < 1:
         raise FileFormatError(f"--cells must be at least 1, got {args.cells}")
-    report = Report("smooth")
-    dist = report.add_input("input", args.input)
     smoothed = smooth_uniform(
         dist,
         args.epsilon,
@@ -304,37 +289,34 @@ def cmd_smooth(args) -> int:
     report.add("cells", smoothed.n_cells)
     report.add("total_mass", smoothed.total_mass())
     report.add("out_file", args.out)
-    report.emit(args.json)
     return EXIT_OK
 
 
-def cmd_compat(args) -> int:
-    report = Report("compat")
-    prior = report.add_input("prior", args.prior)
-    likelihood = report.add_input("likelihood", args.likelihood)
+def cmd_compat(report: Report, args, prior, likelihood) -> int:
     result = check_compatible(prior, likelihood)
     report.add("compatible", result.compatible)
     report.add("overlap_mass", result.overlap_mass)
-    report.emit(args.json)
     return EXIT_OK
 
 
-def cmd_mlr(args) -> int:
-    report = Report("mlr")
-    candidate = report.add_input("candidate", args.candidate)
-    prior = report.add_input("prior", args.prior)
-    likelihood = report.add_input("likelihood", args.likelihood)
+def cmd_mlr(report: Report, args, candidate, prior, likelihood) -> int:
     profile = ratio_profile(candidate, prior, likelihood)
     for key, ratio in profile.entries:
         report.add(f"ratio_{key}", ratio)
     report.add("spread", profile.spread)
-    report.emit(args.json)
     return EXIT_OK
 
 
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--w0", type=float, help="prior weight (positive)")
     parser.add_argument("--wL", type=float, help="likelihood weight (positive)")
+
+
+def _inputs(parser: argparse.ArgumentParser, handler, *roles: str) -> None:
+    """Declare the input files that ``main`` reads, in this order, for ``handler``."""
+    for role in roles:
+        parser.add_argument(role)
+    parser.set_defaults(handler=handler, roles=roles)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,29 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("posterior", help="combine two distribution files")
-    p.add_argument("prior")
-    p.add_argument("likelihood")
+    _inputs(p, cmd_posterior, "prior", "likelihood")
     _add_weight_flags(p)
     p.add_argument("--out", help="write the posterior to this file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_posterior)
 
     p = sub.add_parser("loss", help="maximum information loss of a candidate posterior")
-    p.add_argument("posterior")
-    p.add_argument("prior")
-    p.add_argument("likelihood")
+    _inputs(p, cmd_loss, "posterior", "prior", "likelihood")
     _add_weight_flags(p)
     p.add_argument(
         "--exhaustive",
         action="store_true",
         help="enumerate all events instead of the singleton reduction (<= 20 atoms)",
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_loss)
 
     p = sub.add_parser("verify", help="brute-force search confirming the closed form")
-    p.add_argument("prior")
-    p.add_argument("likelihood")
+    _inputs(p, cmd_verify, "prior", "likelihood")
     p.add_argument(
         "--objective",
         choices=("shannon", "weighted", "mlr"),
@@ -376,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--K", type=int, help="simplex grid resolution (default by size)")
     _add_weight_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("smooth", help="convolve with a uniform(-epsilon, epsilon) kernel")
     # argparse's own pattern has no exponent, so it would take --origin -1e1
@@ -385,35 +357,32 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(
         r"^-(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?$"
     )
-    p.add_argument("input")
+    _inputs(p, cmd_smooth, "input")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True, help="output cell width")
     p.add_argument("--origin", type=float, help="force the output grid origin")
     p.add_argument("--cells", type=int, help="force the output cell count")
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_smooth)
 
     p = sub.add_parser("compat", help="overlap mass and compatibility of a pair")
-    p.add_argument("prior")
-    p.add_argument("likelihood")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_compat)
+    _inputs(p, cmd_compat, "prior", "likelihood")
 
     p = sub.add_parser("mlr", help="likelihood-ratio profile of a candidate posterior")
-    p.add_argument("candidate")
-    p.add_argument("prior")
-    p.add_argument("likelihood")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_mlr)
+    _inputs(p, cmd_mlr, "candidate", "prior", "likelihood")
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    report = Report(args.command)
     try:
-        return args.handler(args)
+        inputs = [report.add_input(role, getattr(args, role)) for role in args.roles]
+        code = args.handler(report, args, *inputs)
+        report.emit(args.json)
+        return code
     except (BayesfuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_FAIL)

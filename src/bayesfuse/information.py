@@ -103,11 +103,11 @@ def _event_prob(dist: Distribution, event: Event) -> float:
         table = dist.as_dict()
         missing = [m for m in event.members if m not in table]
         if missing:
-            raise InvalidEventError(f"unknown atom keys in event: {sorted(missing)!r}")
+            raise InvalidEventError(f"unknown atom keys in event: {sorted(missing, key=str)!r}")
         prob = math.fsum(table[k] for k in event.members)
     else:
         for m in event.members:
-            if not isinstance(m, int) or not 0 <= m < dist.n_cells:
+            if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < dist.n_cells:
                 raise InvalidEventError(f"cell index out of range: {m!r}")
         prob = dist.delta * math.fsum(dist.densities[i] for i in event.members)
     # Subset sums can exceed 1 by a few ulps; probabilities cannot.

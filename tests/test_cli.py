@@ -68,6 +68,52 @@ def test_witness_lists_members_in_numeric_order():
     assert _witness_text(Event.of(10, 9, 0)) == "0,9,10"
 
 
+class TestCommandSkeleton:
+    """``main`` reads, hashes and reports every input before the handler runs."""
+
+    @pytest.mark.parametrize(
+        "argv, roles",
+        [
+            (["posterior", "prior", "like"], ["prior", "likelihood"]),
+            (["loss", "skew", "prior", "like"], ["posterior", "prior", "likelihood"]),
+            (["verify", "prior", "like", "--K", "4"], ["prior", "likelihood"]),
+            (
+                ["smooth", "skew", "--epsilon", "0.5", "--delta", "0.25", "--out", "out"],
+                ["input"],
+            ),
+            (["compat", "prior", "like"], ["prior", "likelihood"]),
+            (["mlr", "skew", "prior", "like"], ["candidate", "prior", "likelihood"]),
+        ],
+        ids=["posterior", "loss", "verify", "smooth", "compat", "mlr"],
+    )
+    def test_report_opens_with_the_command_and_each_input(self, capsys, files, argv, roles):
+        argv = [str(files["tmp"] / "out.json") if a == "out" else files.get(a, a) for a in argv]
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        items = list(json.loads(out).items())
+        expected = [("command", argv[0])]
+        for role, path in zip(roles, argv[1:]):
+            digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+            expected += [(f"{role}_file", path), (f"{role}_sha256", digest)]
+        assert items[: len(expected)] == expected
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["verify", "missing", "like", "--K", "0"],
+            ["smooth", "missing", "--epsilon", "-1", "--delta", "0.25", "--out", "out"],
+        ],
+        ids=["verify", "smooth"],
+    )
+    def test_unreadable_input_is_reported_before_a_bad_flag(self, capsys, files, flags):
+        missing = files["tmp"] / "missing.json"
+        replace = {"missing": str(missing), "out": str(files["tmp"] / "out.json")}
+        code, out, err = run(capsys, *[replace.get(a, files.get(a, a)) for a in flags])
+        with pytest.raises(OSError) as exc:
+            missing.read_bytes()
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
 class TestPosteriorCommand:
     def test_writes_the_product_rule_posterior(self, capsys, files):
         out_file = str(files["tmp"] / "post.json")
@@ -152,7 +198,8 @@ class TestPosteriorCommand:
         code, out, err = run(capsys, command, *inputs, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {flag} must be positive")
+        role = "prior" if flag == "--w0" else "likelihood"
+        assert err == f"error: --w0 and --wL: {role} weight must be positive, got {float(value)!r}\n"
 
     @pytest.mark.parametrize("command", ["posterior", "loss", "verify"])
     def test_weight_ratio_past_the_float_range_exits_two(self, capsys, files, command):
@@ -552,6 +599,13 @@ class TestCompatCommand:
         assert err == (
             f"error: {narrow}: grid covers 0.682689492 of the normal mass, need >= 0.999999\n"
         )
+
+    @pytest.mark.parametrize("key", ["NaN", "-Infinity"])
+    def test_non_finite_key_exits_two(self, capsys, files, key):
+        bad = files["write"]("bad.json", {"kind": "discrete", "atoms": [[key, 0.5], ["1", 0.5]]})
+        code, out, err = run(capsys, "compat", bad, files["like"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: atom position is not finite: {key!r}\n"
 
     def test_disjoint_pair_reports_false(self, capsys, files):
         code, out, _ = run(capsys, "compat", files["prior"], files["far"])

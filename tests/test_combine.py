@@ -47,6 +47,10 @@ class TestCompatibility:
     def test_report_derives_compatibility_from_the_overlap(self, overlap, compatible):
         assert CompatibilityReport(overlap).compatible is compatible
 
+    def test_report_refuses_a_negative_overlap(self):
+        with pytest.raises(ValueError, match="^overlap mass cannot be negative$"):
+            CompatibilityReport(-1.0)
+
     def test_gridded_geometric_decays_are_compatible(self):
         grid = (1.0, 0.02, 3000)
         a = discretize(DistFamily.geometric(0.3), grid)

@@ -1,6 +1,7 @@
 """Distribution construction, canonical keys, discretization, and smoothing."""
 
 import math
+import re
 from decimal import Decimal, InvalidOperation, localcontext
 
 import numpy as np
@@ -800,3 +801,66 @@ class TestSmoothingMatchesTheReference:
         sm, expected = _assert_matches_reference(*case)
         assert sm.densities == expected
         assert (sm.origin, sm.densities) == _array_smooth(*case)
+
+
+_POINT = DiscreteDist((("0", 1.0),))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: canonical_key("NaN"), NonFiniteError, "atom position is not finite: 'NaN'"),
+        (
+            lambda: canonical_key("-Infinity"),
+            NonFiniteError,
+            "atom position is not finite: '-Infinity'",
+        ),
+        (
+            lambda: GridDensity.from_values(0.0, 1.0, []),
+            ValueError,
+            "a grid density needs at least one cell",
+        ),
+        (
+            lambda: GridDensity.from_values(0.0, 1.0, [0.0, 0.0]),
+            AllZeroMassError,
+            "all cell densities are zero",
+        ),
+        (
+            lambda: DistFamily.normal(math.nan, 1.0),
+            NonFiniteError,
+            "family parameter is not finite: nan",
+        ),
+        (
+            lambda: discretize(DistFamily.uniform(0.0, 1.0), (0.0, 0.0, 4)),
+            ValueError,
+            "grid needs positive cell width and at least one cell",
+        ),
+        (
+            lambda: discretize(DistFamily.uniform(0.0, 1.0), (0.0, 0.25, 0)),
+            ValueError,
+            "grid needs positive cell width and at least one cell",
+        ),
+        (lambda: smooth_uniform(_POINT, 0.0, 0.25), ValueError, "epsilon must be positive, got 0.0"),
+        (
+            lambda: smooth_uniform(_POINT, 0.5, -0.25),
+            ValueError,
+            "delta_out must be positive, got -0.25",
+        ),
+        (lambda: smooth_uniform(_POINT, 0.5, 0.25, cells=0), ValueError, "cells must be at least 1"),
+    ],
+    ids=[
+        "nan-key",
+        "infinite-key",
+        "no-cells",
+        "all-zero-cells",
+        "non-finite-parameter",
+        "zero-cell-width",
+        "zero-cells",
+        "smooth-epsilon",
+        "smooth-delta-out",
+        "smooth-cells",
+    ],
+)
+def test_input_checks_refuse_bad_values(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -96,6 +96,18 @@ class TestShannonInfo:
         with pytest.raises(InvalidEventError):
             shannon_info(g, Event.of(4))
 
+    def test_mixed_type_event_is_refused(self):
+        message = r"unknown atom keys in event: \[1, 'x'\]"
+        with pytest.raises(InvalidEventError, match=message):
+            shannon_info(TWO_ATOM_PRIOR, Event.of(1, "x"))
+        with pytest.raises(InvalidEventError, match=message):
+            combined_info(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, Event.of(1, "x"))
+
+    def test_bool_is_not_a_cell_index(self):
+        g = discretize(DistFamily.uniform(0.0, 1.0), (0.0, 0.25, 4))
+        with pytest.raises(InvalidEventError, match="cell index out of range: True"):
+            shannon_info(g, Event.of(True))
+
 
 class TestCombinedInfo:
     def test_adds_the_two_informations(self):

@@ -11,6 +11,7 @@ from bayesfuse import (
     CrossCheckError,
     DiscreteDist,
     IncompatibleError,
+    SearchResult,
     TooLargeError,
     bayes_posterior,
     check_compatible,
@@ -181,6 +182,17 @@ class TestMinimizeMaxLoss:
         monkeypatch.setattr(search, "_CHUNK_SIZE", 100000)
         coarse = minimize_max_loss(uniform, uniform, 60)
         assert fine == coarse
+
+    @pytest.mark.parametrize(
+        "min_value, runner_up, count, message",
+        [
+            (2.0, 1.0, 1, "minimum exceeds the runner-up value"),
+            (1.0, 2.0, 0, "no candidates were evaluated"),
+        ],
+    )
+    def test_result_invariants(self, min_value, runner_up, count, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SearchResult(TWO_ATOM_PRIOR, min_value, runner_up, count)
 
 
 class TestMinimizeWeightedLoss:
