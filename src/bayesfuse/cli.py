@@ -17,9 +17,10 @@ non-finite values are the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 ``main`` owns what every subcommand shares.  It reads each input file
 once, in argv order, reports its path and SHA-256, and parses those
 bytes.  It then calls the subcommand's ``cmd_*`` handler, which checks
-its own flags and adds its results.  Last, it emits the report; and it
-maps errors to exit codes.  So an unreadable input is reported before a
-bad flag.
+only which flags go together, leaving each flag's range to the library
+code that uses it, and adds its results.  Last, it emits the report; and
+it maps each error, raised once where it is detected, to an exit code by
+its type.  So an unreadable input is reported before a bad flag.
 
 numpy is imported only by the brute-force oracles: ``verify`` and
 ``loss --exhaustive``.  ``compat``, ``posterior``, ``loss``, ``mlr`` and
@@ -33,11 +34,12 @@ input file or argument (including a forced ``smooth`` extent that misses
 the mass, and a ``smooth`` window or extent past the float range), 3
 incompatible or representation-mismatched pair (including, for
 ``posterior``, ``mlr`` and ``verify``, a joint product that underflows
-to a subnormal number, and for ``posterior`` a grid posterior whose
-total, densities or cell masses do), 4 degenerate weighted product, 5
-enumeration budget exceeded (including a ``smooth`` output grid of more
-than ``10**7`` cells), 6 smoothing resolution does not divide the
-window, 7 candidate mass off the joint support.
+to a subnormal number, for ``posterior`` a grid posterior whose total,
+densities or cell masses do, and for ``mlr`` a ratio that overflows), 4
+degenerate weighted product, 5 enumeration budget exceeded (including a
+``smooth`` output grid of more than ``10**7`` cells), 6 smoothing
+resolution does not divide the window, 7 candidate mass off the joint
+support.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import math
 import re
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 from .combine import (
@@ -68,6 +69,7 @@ from .errors import (
     FileFormatError,
     IncompatibleError,
     InsufficientCoverageError,
+    InvalidArgumentError,
     NonFiniteError,
     RepresentationMismatchError,
     TooLargeError,
@@ -89,6 +91,7 @@ EXIT_UNSUPPORTED_MASS = 7
 
 _ERROR_EXITS = (
     (FileFormatError, EXIT_PARSE),
+    (InvalidArgumentError, EXIT_PARSE),
     (InsufficientCoverageError, EXIT_PARSE),
     (NonFiniteError, EXIT_PARSE),
     (IncompatibleError, EXIT_INCOMPATIBLE),
@@ -132,12 +135,7 @@ class Report:
         data = Path(path).read_bytes()
         self.items.append((f"{role}_file", path))
         self.items.append((f"{role}_sha256", hashlib.sha256(data).hexdigest()))
-        try:
-            return load_distribution(path, data)
-        except FileFormatError:
-            raise
-        except BayesfuseError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
+        return load_distribution(path, data)
 
     def emit(self, as_json: bool) -> None:
         elapsed = time.perf_counter() - self.started
@@ -172,31 +170,22 @@ def _weights(args) -> tuple[float, float] | None:
     if args.w0 is None and args.wL is None:
         return None
     if args.w0 is None or args.wL is None:
-        raise FileFormatError("--w0 and --wL must be given together")
-    try:
-        _exponents(args.w0, args.wL)
-    except ValueError as exc:
-        raise FileFormatError(f"--w0 and --wL: {exc}") from None
+        raise InvalidArgumentError("--w0 and --wL must be given together")
+    _exponents(args.w0, args.wL)
     return args.w0, args.wL
 
 
 def cmd_posterior(report: Report, args, prior, likelihood) -> int:
     weights = _weights(args)
+    a, b = _exponents(*weights) if weights else (1.0, 1.0)
     # One alignment gives the overlap, the posterior and max_loss's bound.
     aligned = _align(prior, likelihood)
     report.add("overlap_mass", aligned.overlap)
-    if weights is None or weights[0] == weights[1]:
-        rule = "bayes"
-        posterior = _product(prior, aligned.require_compatible(), 1.0, 1.0)
-    else:
-        # A degenerate weighted product (exit 4) outranks an incompatible pair (3).
-        rule = "weighted"
-        posterior = _product(prior, aligned, *_exponents(*weights))
-        aligned.require_compatible()
+    posterior = _product(prior, aligned, a, b)
     if weights is not None:
         report.add("w0", weights[0])
         report.add("wL", weights[1])
-    report.add("rule", rule)
+    report.add("rule", "bayes" if a == b else "weighted")
     report.add("loss_lower_bound_bits", aligned.bound(1.0, 1.0))
     _add_distribution(report, "posterior", posterior)
     if args.out:
@@ -224,33 +213,29 @@ def cmd_loss(report: Report, args, posterior, prior, likelihood) -> int:
 
 
 def cmd_verify(report: Report, args, prior, likelihood) -> int:
-    if args.K is not None and args.K < 1:
-        raise FileFormatError(f"--K must be at least 1, got {args.K}")
     # The scan, its cross-check and the closed form align the pair again on
     # their own: they are the independent oracles this command compares.
     n = len(_align(prior, likelihood).require_compatible().labels)
     K = args.K if args.K is not None else default_resolution(n)
     weights = _weights(args)
     if args.objective == "weighted" and weights is None:
-        raise FileFormatError("--objective weighted needs --w0 and --wL")
+        raise InvalidArgumentError("--objective weighted needs --w0 and --wL")
     if args.objective != "weighted" and weights is not None:
-        raise FileFormatError("--w0 and --wL need --objective weighted")
+        raise InvalidArgumentError("--w0 and --wL need --objective weighted")
     report.add("objective", args.objective)
     report.add("K", K)
     report.add("n", n)
-    if args.objective == "weighted":
+    if weights is not None:
         report.add("w0", weights[0])
         report.add("wL", weights[1])
-        scan = partial(minimize_max_loss, prior, likelihood, K, *weights)
-        rule = partial(weighted_posterior, prior, likelihood, *weights)
-    else:
-        minimize = minimize_mlr_spread if args.objective == "mlr" else minimize_max_loss
-        scan = partial(minimize, prior, likelihood, K)
-        rule = partial(bayes_posterior, prior, likelihood)
+    minimize = minimize_mlr_spread if args.objective == "mlr" else minimize_max_loss
     started = time.perf_counter()
-    result = scan()
+    result = minimize(prior, likelihood, K, *(weights or ()))
     scan_seconds = time.perf_counter() - started
-    closed_form = rule()
+    if weights is None:
+        closed_form = bayes_posterior(prior, likelihood)
+    else:
+        closed_form = weighted_posterior(prior, likelihood, *weights)
     distance = linf_distance(result.argmin, closed_form)
     threshold = n / K
     report.add("evaluated_count", result.evaluated_count)
@@ -268,13 +253,6 @@ def cmd_verify(report: Report, args, prior, likelihood) -> int:
 
 
 def cmd_smooth(report: Report, args, dist) -> int:
-    for flag, value in (("--epsilon", args.epsilon), ("--delta", args.delta)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise FileFormatError(f"{flag} must be positive, got {value}")
-    if args.origin is not None and not math.isfinite(args.origin):
-        raise FileFormatError(f"--origin must be finite, got {args.origin}")
-    if args.cells is not None and args.cells < 1:
-        raise FileFormatError(f"--cells must be at least 1, got {args.cells}")
     smoothed = smooth_uniform(
         dist,
         args.epsilon,

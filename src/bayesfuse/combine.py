@@ -30,10 +30,11 @@ from itertools import compress
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .dists import DiscreteDist, Distribution, GridDensity, _unit_mass
+from .dists import DiscreteDist, Distribution, GridDensity, _ascending, _unit_mass
 from .errors import (
     DegenerateProductError,
     IncompatibleError,
+    InvalidArgumentError,
     RepresentationMismatchError,
 )
 
@@ -43,18 +44,18 @@ _MIN_NORMAL = sys.float_info.min
 def _exponents(w0: float, wL: float) -> tuple[float, float]:
     """``(w0/max, wL/max)`` for positive finite weights.
 
-    Raises :class:`ValueError` for any other weight, and when the smaller
-    exponent is below the normal range, where a positive weight would act
-    as zero.
+    Raises :class:`InvalidArgumentError` for any other weight, and when the
+    smaller exponent is below the normal range, where a positive weight
+    would act as zero.
     """
     if not (math.isfinite(w0) and w0 > 0.0):
-        raise ValueError(f"prior weight must be positive, got {w0!r}")
+        raise InvalidArgumentError(f"prior weight must be positive, got {w0!r}")
     if not (math.isfinite(wL) and wL > 0.0):
-        raise ValueError(f"likelihood weight must be positive, got {wL!r}")
+        raise InvalidArgumentError(f"likelihood weight must be positive, got {wL!r}")
     top = max(w0, wL)
     a, b = w0 / top, wL / top
     if min(a, b) < _MIN_NORMAL:
-        raise ValueError(f"weight ratio {w0!r} : {wL!r} is past the float range")
+        raise InvalidArgumentError(f"weight ratio {w0!r} : {wL!r} is past the float range")
     return a, b
 
 
@@ -222,15 +223,19 @@ def check_compatible(p0: Distribution, like: Distribution) -> CompatibilityRepor
 def _product(p0: Distribution, aligned: _Aligned, a: float, b: float) -> Distribution:
     """The normalized product ``p0**a * pL**b`` on the joint support.
 
-    A grid posterior whose total, a density or a cell mass is subnormal has
+    It owns the ranking of errors: equal exponents test compatibility
+    first, unequal ones last, after testing for a degenerate product.  A
+    grid posterior whose total, a density or a cell mass is subnormal has
     lost bits; it raises :class:`IncompatibleError` at the first such cell.
     """
+    if a == b:
+        aligned.require_compatible()
     values = aligned.products(a, b)
     total = aligned.scale * math.fsum(values)
     if not _compatible(total):
         raise DegenerateProductError(f"weighted product has total mass {total!r}")
     if isinstance(p0, DiscreteDist):
-        return _unit_mass(aligned.labels, values)
+        return _unit_mass(aligned.require_compatible().labels, values)
     densities = [0.0] * p0.n_cells
     for i, value in zip(aligned.labels, values):
         densities[i] = value / total
@@ -243,22 +248,23 @@ def _product(p0: Distribution, aligned: _Aligned, a: float, b: float) -> Distrib
             if min(total, densities[i], p0.delta * densities[i]) < _MIN_NORMAL
         )
         raise IncompatibleError(f"prior-likelihood product underflows at {lost}")
+    aligned.require_compatible()
     return GridDensity(p0.origin, p0.delta, tuple(densities))
 
 
 def bayes_posterior(p0: Distribution, like: Distribution) -> Distribution:
     """Posterior proportional to the pointwise prior-likelihood product."""
-    return _product(p0, _align(p0, like).require_compatible(), 1.0, 1.0)
+    return _product(p0, _align(p0, like), 1.0, 1.0)
 
 
 def weighted_posterior(p0: Distribution, like: Distribution, w0: float, wL: float) -> Distribution:
     """Posterior proportional to ``p0**a * pL**b``, where ``(a, b)`` are the
     positive weights ``(w0, wL)`` divided by their maximum.
 
-    With equal weights the exponents are both 1 and the result coincides
-    with :func:`bayes_posterior`.  Raises :class:`DegenerateProductError`
-    when the weighted product has zero or infinite total mass; unlike
-    :func:`bayes_posterior`, it does so before testing compatibility.
+    With equal weights the exponents are both 1, and the result and the
+    ranking of errors are those of :func:`bayes_posterior`.  With unequal
+    weights it raises :class:`DegenerateProductError` when the weighted
+    product has zero or infinite total mass, before it tests compatibility.
     """
     a, b = _exponents(w0, wL)
     return _product(p0, _align(p0, like), a, b)
@@ -268,15 +274,14 @@ def linear_pool(p0: Distribution, like: Distribution) -> Distribution:
     """Plain average ``(p0 + pL) / 2`` over the union of the supports."""
     require_same_representation(p0, like)
     if isinstance(p0, DiscreteDist):
-        p0_masses = p0.as_dict()
-        like_masses = like.as_dict()
-        keys = set(p0_masses) | set(like_masses)
-        raw = []
-        for key in keys:
-            mass = (p0_masses.get(key, 0.0) + like_masses.get(key, 0.0)) / 2.0
-            if mass > 0.0:
-                raw.append((key, mass))
-        return DiscreteDist.from_pairs(raw)
+        p0_masses, like_masses = p0.as_dict(), like.as_dict()
+        pooled = {
+            key: (p0_masses.get(key, 0.0) + like_masses.get(key, 0.0)) / 2.0
+            for key in p0_masses.keys() | like_masses.keys()
+        }
+        # The keys are canonical already: sorted, not canonicalized again.
+        keys = _ascending(key for key, mass in pooled.items() if mass > 0.0)
+        return DiscreteDist._trusted(keys, [pooled[key] for key in keys])
     averaged = [(f0 + fl) / 2.0 for f0, fl in zip(p0.densities, like.densities)]
     return GridDensity(p0.origin, p0.delta, tuple(averaged))
 

@@ -29,6 +29,7 @@ from .errors import (
     AllZeroMassError,
     BadResolutionError,
     InsufficientCoverageError,
+    InvalidArgumentError,
     NonFiniteError,
     TooLargeError,
 )
@@ -77,14 +78,7 @@ def canonical_key(value: float | int | str | Decimal) -> str:
 def _decimal_key(value: float | int | str | Decimal) -> str:
     """The reference definition of :func:`canonical_key`, through Decimal."""
     try:
-        if isinstance(value, str):
-            dec = Decimal(value)
-        elif isinstance(value, float):
-            if not math.isfinite(value):
-                raise NonFiniteError(f"atom position is not finite: {value!r}")
-            dec = Decimal(repr(value))
-        else:
-            dec = Decimal(value)
+        dec = Decimal(repr(value) if isinstance(value, float) else value)
     except InvalidOperation as exc:
         raise ValueError(f"not a decimal atom key: {value!r}") from exc
     if not dec.is_finite():
@@ -547,9 +541,9 @@ def smooth_uniform(
     and spans the smoothed support, to which a zero-mass atom or a
     zero-density end cell adds nothing.  Pass ``origin`` and ``cells`` to
     force a specific extent, e.g. to place two smoothed distributions on
-    one shared grid so they can be conflated afterwards.  A non-finite
-    ``origin`` raises :class:`ValueError`, and an extent that captures
-    less than ``1 - 1e-6`` of the smoothed mass raises
+    one shared grid so they can be conflated afterwards.  An argument out
+    of its range raises :class:`InvalidArgumentError`, and an extent that
+    captures less than ``1 - 1e-6`` of the smoothed mass raises
     :class:`InsufficientCoverageError`.  A window or extent past the float
     range, in cells or in position, raises :class:`NonFiniteError`, and an
     output grid of more than ``10**7`` cells raises :class:`TooLargeError`
@@ -558,9 +552,17 @@ def smooth_uniform(
     epsilon = float(epsilon)
     delta_out = float(delta_out)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+        raise InvalidArgumentError(f"epsilon must be positive, got {epsilon!r}")
     if not (math.isfinite(delta_out) and delta_out > 0.0):
-        raise ValueError(f"delta_out must be positive, got {delta_out!r}")
+        raise InvalidArgumentError(f"delta_out must be positive, got {delta_out!r}")
+    if origin is not None:
+        origin = float(origin)
+        if not math.isfinite(origin):
+            raise InvalidArgumentError(f"origin must be finite, got {origin!r}")
+    if cells is not None:
+        cells = int(cells)
+        if cells < 1:
+            raise InvalidArgumentError("cells must be at least 1")
     span_cells = 2.0 * epsilon / delta_out
     if abs(span_cells - _whole_cells(span_cells, round, "window")) > 1e-12:
         raise BadResolutionError(
@@ -572,16 +574,8 @@ def smooth_uniform(
         cdf, lo, hi = _smoothing_cdf_grid(dist, epsilon)
     if origin is None:
         origin = _whole_cells(lo / delta_out + 1e-12, math.floor, "extent") * delta_out
-    else:
-        origin = float(origin)
-        if not math.isfinite(origin):
-            raise ValueError(f"origin must be finite, got {origin!r}")
     if cells is None:
         cells = max(1, _whole_cells((hi - origin) / delta_out - 1e-12, math.ceil, "extent"))
-    else:
-        cells = int(cells)
-        if cells < 1:
-            raise ValueError("cells must be at least 1")
     if cells > SMOOTH_MAX_CELLS:
         raise TooLargeError(f"output grid has more than the {SMOOTH_MAX_CELLS} cells smoothing allows")
     if not math.isfinite(origin + cells * delta_out):

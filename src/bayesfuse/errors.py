@@ -46,7 +46,11 @@ class UnsupportedMassError(BayesfuseError):
 
 
 class FileFormatError(BayesfuseError):
-    """A distribution file does not follow the documented format."""
+    """A distribution file cannot be read or does not follow the documented format."""
+
+
+class InvalidArgumentError(BayesfuseError, ValueError):
+    """A function argument or a command-line flag is out of its range."""
 
 
 class CrossCheckError(BayesfuseError):

@@ -89,22 +89,16 @@ def load_distribution(path: str | Path, data: bytes | None = None) -> Distributi
 
     Pass ``data`` when the caller has already read the file, so that the
     bytes parsed are the bytes it read (and, say, hashed); ``path`` then
-    only names the file in error messages.
+    only names the file in error messages.  Anything that cannot be read
+    or parsed raises :class:`FileFormatError` as ``"<path>: <cause>"``,
+    with the cause chained.
     """
-    if data is None:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # An integer past Python's int-string digit limit, or arrays and
-        # objects nested past the recursion limit.
-        raise FileFormatError(f"{path} cannot be parsed: {exc}") from exc
-    return payload_to_distribution(payload)
+        if data is None:
+            data = Path(path).read_bytes()
+        return payload_to_distribution(json.loads(data.decode("utf-8")))
+    except (BayesfuseError, OSError, ValueError, RecursionError) as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _json_number(value) -> str:

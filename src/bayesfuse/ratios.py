@@ -19,7 +19,7 @@ from operator import truediv
 
 from .combine import _align
 from .dists import Distribution
-from .errors import UnsupportedMassError
+from .errors import IncompatibleError, UnsupportedMassError
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,16 @@ def ratio_profile(
 
     Raises :class:`UnsupportedMassError` when the candidate puts mass where
     the product is zero, and :class:`IncompatibleError` when the pair has
-    no overlap at all.
+    no overlap at all or a ratio overflows.
     """
     aligned = _align(p0, like, candidate).require_compatible()
     strays = aligned.strays
     if strays:
         raise UnsupportedMassError(f"candidate has mass off the joint support at {strays!r}")
     ratios = list(map(truediv, aligned.q, aligned.products(1.0, 1.0)))
+    if math.inf in ratios:
+        at = aligned.labels[ratios.index(math.inf)]
+        raise IncompatibleError(f"candidate-to-product ratio overflows at {at}")
     return RatioProfile(tuple(zip(map(str, aligned.labels), ratios)))
 
 

@@ -25,6 +25,7 @@ from .combine import _align, _exponents
 from .dists import DiscreteDist, _unit_mass
 from .errors import (
     CrossCheckError,
+    InvalidArgumentError,
     RepresentationMismatchError,
     TooLargeError,
 )
@@ -62,12 +63,13 @@ def _composition_blocks(n: int, K: int) -> Iterator[np.ndarray]:
     Blocks are column-major, so row reductions vectorize, and hold at most
     ``_CHUNK_SIZE`` rows.  Each row is unranked from its position through
     ``sizes[p][x] = C(x+p-1, p-1)``, the compositions of ``x`` into ``p`` parts.
-    Grids over the evaluation budget raise :class:`TooLargeError`.
+    ``n`` or ``K`` below 1 raises :class:`InvalidArgumentError`, and grids
+    over the evaluation budget raise :class:`TooLargeError`.
     """
     if n < 1:
-        raise ValueError("need at least one atom")
+        raise InvalidArgumentError("need at least one atom")
     if K < 1:
-        raise ValueError("resolution K must be at least 1")
+        raise InvalidArgumentError("resolution K must be at least 1")
     count = math.comb(K + n - 1, n - 1)
     if count > EVALUATION_BUDGET:
         raise TooLargeError(f"{count} grid points exceed the budget of {EVALUATION_BUDGET}")

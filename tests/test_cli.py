@@ -114,6 +114,45 @@ class TestCommandSkeleton:
         assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
 
+class TestBadInputFile:
+    """Every error about an input file starts with that file's path, whichever
+    argument it is.  A ``None`` message stands for the JSON decoder's own."""
+
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"kind": "discrete", "atoms": [["0", -0.5], ["1", 1.5]]}',
+             "malformed 'discrete' distribution: mass must be nonnegative, got -0.5"),
+            (b'{"kind": "discrete", "atoms": [["0", 0.5], ["1", 0.4]]}',
+             "malformed 'discrete' distribution: masses sum to 0.9, not 1"),
+            (b'{"kind": "grid", "origin": 0, "delta": -1, "densities": [1]}',
+             "malformed 'grid' distribution: cell width must be positive, got -1.0"),
+            (b'{"kind": "discrete", "atoms": [["x", 1.0]]}',
+             "malformed 'discrete' distribution: not a decimal atom key: 'x'"),
+            (b'{"kind": "discrete", "atoms": [', None),
+            (b'\xff{"kind": "discrete"}', None),
+            (b'{"kind": "mystery"}', "unknown distribution kind 'mystery'"),
+            (b"[1, 2, 3]", "distribution file must hold a JSON object"),
+        ],
+        ids=[
+            "negative-mass", "mass-sum", "negative-cell-width", "non-decimal-key",
+            "broken-json", "not-utf8", "unknown-kind", "not-an-object",
+        ],
+    )
+    def test_error_starts_with_the_path(self, capsys, files, content, message, position):
+        bad = files["tmp"] / "bad.json"
+        bad.write_bytes(content)
+        if message is None:
+            with pytest.raises(ValueError) as exc:
+                json.loads(content.decode("utf-8"))
+            message = str(exc.value)
+        argv = [files["prior"], files["like"]]
+        argv[position] = str(bad)
+        code, out, err = run(capsys, "compat", *argv)
+        assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+
 class TestPosteriorCommand:
     def test_writes_the_product_rule_posterior(self, capsys, files):
         out_file = str(files["tmp"] / "post.json")
@@ -199,7 +238,7 @@ class TestPosteriorCommand:
         assert code == 2
         assert out == ""
         role = "prior" if flag == "--w0" else "likelihood"
-        assert err == f"error: --w0 and --wL: {role} weight must be positive, got {float(value)!r}\n"
+        assert err == f"error: {role} weight must be positive, got {float(value)!r}\n"
 
     @pytest.mark.parametrize("command", ["posterior", "loss", "verify"])
     def test_weight_ratio_past_the_float_range_exits_two(self, capsys, files, command):
@@ -211,7 +250,7 @@ class TestPosteriorCommand:
         code, out, err = run(capsys, command, *inputs, "--w0", "1e-300", "--wL", "1e300")
         assert code == 2
         assert out == ""
-        assert err == "error: --w0 and --wL: weight ratio 1e-300 : 1e+300 is past the float range\n"
+        assert err == "error: weight ratio 1e-300 : 1e+300 is past the float range\n"
 
     def test_one_weight_alone_exits_two(self, capsys, files):
         code, out, err = run(capsys, "posterior", files["prior"], files["like"], "--w0", "2")
@@ -397,7 +436,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", files["prior"], files["like"], "--K", K)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: --K must be at least 1")
+        assert err == "error: resolution K must be at least 1\n"
 
     def test_cross_check_disagreement_exits_one(self, capsys, files, monkeypatch):
         real = search.max_loss_exhaustive
@@ -479,13 +518,19 @@ class TestSmoothCommand:
         ],
     )
     def test_out_of_range_argument_exits_two(self, capsys, files, flag, value):
+        message = {
+            "--epsilon": f"epsilon must be positive, got {float(value)!r}",
+            "--delta": f"delta_out must be positive, got {float(value)!r}",
+            "--cells": "cells must be at least 1",
+            "--origin": f"origin must be finite, got {float(value)!r}",
+        }[flag]
         args = {"--epsilon": "0.5", "--delta": "0.25", flag: value}
         out_file = str(files["tmp"] / "x.json")
         argv = [a for pair in args.items() for a in pair]
         code, out, err = run(capsys, "smooth", files["pm0"], *argv, "--out", out_file)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {flag} must be")
+        assert err == f"error: {message}\n"
 
     def test_extent_missing_the_mass_exits_two(self, capsys, files):
         out_file = files["tmp"] / "x.json"
@@ -646,17 +691,17 @@ class TestCompatCommand:
         code, out, err = run(capsys, "compat", bad, bad)
         assert code == 2
         assert out == ""
-        assert err == f"error: malformed {kind!r} distribution: {message}\n"
+        assert err == f"error: {bad}: malformed {kind!r} distribution: {message}\n"
 
     @pytest.mark.parametrize(
         "text, message",
         [
             ('{"kind": "discrete", "atoms": [[%s, 1.0]]}' % ("1" * 5000),
-             "cannot be parsed: Exceeds the limit (4300 digits)"),
+             "bad.json: Exceeds the limit (4300 digits)"),
             ('{"kind": "discrete", "atoms": [["0", %s]]}' % ("1" * 5000),
-             "cannot be parsed: Exceeds the limit (4300 digits)"),
+             "bad.json: Exceeds the limit (4300 digits)"),
             ("[" * 100_000 + "]" * 100_000,
-             "cannot be parsed: maximum recursion depth exceeded"),
+             "bad.json: maximum recursion depth exceeded"),
             ('{"kind": "discrete", "atoms": [["0", 1%s]]}' % ("0" * 400),
              "malformed 'discrete' distribution: int too large to convert to float"),
         ],
@@ -712,6 +757,19 @@ class TestMlrCommand:
         )
         code, _, _ = run(capsys, "mlr", stray, files["prior"], files["like"])
         assert code == 7
+
+    def test_ratio_past_the_float_range_exits_three(self, capsys, files):
+        # p*p is 1e308 and 1e-300 on the two cells, both normal, so the pair
+        # is compatible; the candidate's 5e153 / 1e-300 overflows.
+        grid = {"kind": "grid", "origin": 0, "delta": 1e-154}
+        p = files["write"]("p.json", {**grid, "densities": [1e154, 1e-150]})
+        q = files["write"]("q.json", {**grid, "densities": [5e153, 5e153]})
+        code, out, _ = run(capsys, "compat", p, p)
+        assert (code, report_value(out, "compatible")) == (0, "true")
+        code, out, err = run(capsys, "mlr", q, p, p)
+        assert (code, out, err) == (3, "", "error: candidate-to-product ratio overflows at 1\n")
+        # The loss works in log space, so the same files are scored.
+        assert run(capsys, "loss", q, p, p)[0] == 0
 
 
 class TestUnderflowingProducts:

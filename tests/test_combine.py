@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from bayesfuse import dists
 from bayesfuse import (
     CompatibilityReport,
     DegenerateProductError,
@@ -143,6 +144,21 @@ class TestWeightedPosterior:
         with pytest.raises(DegenerateProductError):
             weighted_posterior(TWO_ATOM_PRIOR, far, 2.0, 1.0)
 
+    def test_unequal_weights_test_compatibility(self):
+        # The overlap 1e-200 * 1e200 * 1e200 overflows, so the pair is
+        # incompatible; the weighted total 1e-200 * 1e200 * 1e100 is finite.
+        g = GridDensity(0.0, 1e-200, (1e200,))
+        with pytest.raises(IncompatibleError, match="not compatible"):
+            weighted_posterior(g, g, 2.0, 1.0)
+
+    def test_equal_weights_rank_errors_as_the_product_rule(self):
+        # A disjoint pair is incompatible first, not a degenerate product.
+        p0, like = DiscreteDist((("0", 1.0),)), DiscreteDist((("1", 1.0),))
+        with pytest.raises(IncompatibleError, match="not compatible"):
+            bayes_posterior(p0, like)
+        with pytest.raises(IncompatibleError, match="not compatible"):
+            weighted_posterior(p0, like, 3.0, 3.0)
+
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="prior weight must be positive"):
             weighted_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE, 0.0, 1.0)
@@ -184,6 +200,25 @@ class TestLinearPool:
     def test_coordinate_wise_mean(self):
         pool = linear_pool(TWO_ATOM_PRIOR, TWO_ATOM_LIKE)
         assert pool.masses == (0.65, 0.35)
+
+    def test_keys_are_canonicalized_once(self, monkeypatch):
+        """The inputs' keys are canonical already: the pool sorts them into the
+        atoms ``from_pairs`` would build, without its merge, which
+        canonicalizes every key again."""
+        a = DiscreteDist.from_pairs([(-0.0, 0.25), ("1E5", 0.25), (5e-324, 0.5), ("9", 0.0)])
+        b = DiscreteDist.from_pairs([(10**60, 0.5), ("0.10", 0.25), ("-0", 0.25)])
+        # "9" has no mass on either side, so the pool drops it.
+        pooled = {
+            key: (a.as_dict().get(key, 0.0) + b.as_dict().get(key, 0.0)) / 2.0
+            for key in a.keys + b.keys
+        }
+        expected = DiscreteDist.from_pairs((k, m) for k, m in pooled.items() if m > 0.0)
+
+        def refuse(pairs):
+            raise AssertionError("the pooled keys were canonicalized again")
+
+        monkeypatch.setattr(dists, "_merged", refuse)
+        assert linear_pool(a, b) == expected
 
     def test_grids_average_cell_by_cell(self):
         a = GridDensity(0.0, 0.5, (2.0, 0.0))

@@ -13,17 +13,21 @@ from bayesfuse import dists
 from bayesfuse import (
     AllZeroMassError,
     BadResolutionError,
+    BayesfuseError,
     DiscreteDist,
     DistFamily,
     GridDensity,
     InsufficientCoverageError,
+    InvalidArgumentError,
     NonFiniteError,
     TooLargeError,
     canonical_key,
     check_compatible,
     discretize,
+    enumerate_simplex,
     normalize,
     smooth_uniform,
+    weighted_posterior,
 )
 from bayesfuse.dists import GRID_MASS_TOL
 
@@ -840,13 +844,36 @@ _POINT = DiscreteDist((("0", 1.0),))
             ValueError,
             "grid needs positive cell width and at least one cell",
         ),
-        (lambda: smooth_uniform(_POINT, 0.0, 0.25), ValueError, "epsilon must be positive, got 0.0"),
+        (
+            lambda: smooth_uniform(_POINT, 0.0, 0.25),
+            InvalidArgumentError,
+            "epsilon must be positive, got 0.0",
+        ),
         (
             lambda: smooth_uniform(_POINT, 0.5, -0.25),
-            ValueError,
+            InvalidArgumentError,
             "delta_out must be positive, got -0.25",
         ),
-        (lambda: smooth_uniform(_POINT, 0.5, 0.25, cells=0), ValueError, "cells must be at least 1"),
+        (
+            lambda: smooth_uniform(_POINT, 0.5, 0.25, cells=0),
+            InvalidArgumentError,
+            "cells must be at least 1",
+        ),
+        (
+            lambda: smooth_uniform(_POINT, 0.5, 0.25, origin=math.inf),
+            InvalidArgumentError,
+            "origin must be finite, got inf",
+        ),
+        (
+            lambda: next(enumerate_simplex(3, 0)),
+            InvalidArgumentError,
+            "resolution K must be at least 1",
+        ),
+        (
+            lambda: weighted_posterior(_POINT, _POINT, 0.0, 1.0),
+            InvalidArgumentError,
+            "prior weight must be positive, got 0.0",
+        ),
     ],
     ids=[
         "nan-key",
@@ -859,8 +886,18 @@ _POINT = DiscreteDist((("0", 1.0),))
         "smooth-epsilon",
         "smooth-delta-out",
         "smooth-cells",
+        "smooth-origin",
+        "simplex-resolution",
+        "prior-weight",
     ],
 )
 def test_input_checks_refuse_bad_values(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_argument_errors_are_package_value_errors():
+    """The CLI maps a package error to its exit code; callers that catch
+    ``ValueError`` still catch a bad argument."""
+    assert issubclass(InvalidArgumentError, BayesfuseError)
+    assert issubclass(InvalidArgumentError, ValueError)

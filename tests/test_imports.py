@@ -317,6 +317,27 @@ def _module_level_names(sources: dict[str, str]) -> list[tuple[str, str]]:
     return found
 
 
+def test_file_format_errors_are_raised_only_by_the_file_reader():
+    """``load_distribution`` names the file in every error about it, so no
+    other module translates a file's errors."""
+    sources = _package_sources()
+    raisers = [m for m, text in sources.items() if re.search(r"raise FileFormatError\b", text)]
+    assert raisers == ["fileio.py"]
+
+
+def test_the_cli_catches_errors_only_in_main():
+    """Each error is raised once, where it is detected; the CLI only maps
+    its type to an exit code, in one ``except`` in ``main``."""
+    tree = ast.parse(_package_sources()["cli.py"])
+    owners = [
+        getattr(node, "name", None)
+        for node in tree.body
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.ExceptHandler)
+    ]
+    assert owners == ["main"]
+
+
 def test_weights_are_arguments_of_one_function_per_objective():
     """Each loss objective is one function taking ``w0`` and ``wL``: no module
     defines a ``WeightedPair`` or a public weighted twin.  The weighted

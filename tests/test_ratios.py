@@ -6,6 +6,7 @@ import pytest
 
 from bayesfuse import (
     DiscreteDist,
+    GridDensity,
     IncompatibleError,
     RatioProfile,
     UnsupportedMassError,
@@ -50,6 +51,14 @@ class TestRatioProfile:
         far = DiscreteDist((("2", 0.5), ("3", 0.5)))
         with pytest.raises(IncompatibleError):
             ratio_profile(TWO_ATOM_PRIOR, TWO_ATOM_PRIOR, far)
+
+    def test_ratio_past_the_float_range_raises(self):
+        # p*p is 1e308 and 1e-300, both normal; 5e153 / 1e-300 overflows.
+        p = GridDensity(0.0, 1e-154, (1e154, 1e-150))
+        q = GridDensity(0.0, 1e-154, (5e153, 5e153))
+        assert check_compatible(p, p).compatible
+        with pytest.raises(IncompatibleError, match="^candidate-to-product ratio overflows at 1$"):
+            ratio_profile(q, p, p)
 
     def test_profile_invariants_enforced(self):
         assert RatioProfile(entries=(("0", 1.0), ("1", 3.0))).spread == 2.0
