@@ -28,18 +28,18 @@ numpy is imported only by the brute-force oracles: ``verify`` and
 ``verify`` takes ``--w0`` and ``--wL`` only with ``--objective weighted``;
 with another objective they are an argument error.
 
-Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of
-the closed form), 1 verification failure, 2 unreadable or malformed
-input file or argument (including a forced ``smooth`` extent that misses
-the mass, and a ``smooth`` window or extent past the float range), 3
-incompatible or representation-mismatched pair (including, for
-``posterior``, ``mlr`` and ``verify``, a joint product that underflows
-to a subnormal number, for ``posterior`` a grid posterior whose total,
-densities or cell masses do, and for ``mlr`` a ratio that overflows), 4
-degenerate weighted product, 5 enumeration budget exceeded (including a
-``smooth`` output grid of more than ``10**7`` cells), 6 smoothing
-resolution does not divide the window, 7 candidate mass off the joint
-support.
+Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
+closed form), 1 verification failure, 2 unreadable or malformed input file
+or argument (including a forced ``smooth`` extent that misses the mass, a
+``smooth`` window or extent past the float range, and a family file whose
+grid has more than ``10**7`` cells), 3 incompatible or
+representation-mismatched pair (including, for ``posterior``, ``mlr`` and
+``verify``, a joint product that underflows to a subnormal number, for
+``posterior`` a grid posterior whose total, densities or cell masses do, and
+for ``mlr`` a ratio that overflows), 4 degenerate weighted product, 5
+enumeration budget exceeded (including a ``smooth`` output grid of more than
+``10**7`` cells), 6 smoothing resolution does not divide the window, 7
+candidate mass off the joint support.
 """
 
 from __future__ import annotations
@@ -171,7 +171,6 @@ def _weights(args) -> tuple[float, float] | None:
         return None
     if args.w0 is None or args.wL is None:
         raise InvalidArgumentError("--w0 and --wL must be given together")
-    _exponents(args.w0, args.wL)
     return args.w0, args.wL
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
@@ -36,7 +37,7 @@ from .errors import (
 
 DISCRETE_MASS_TOL = 1e-9
 GRID_MASS_TOL = 1e-6
-SMOOTH_MAX_CELLS = 10**7
+MAX_GRID_CELLS = 10**7
 
 _KEY_PRECISION = 50
 # Longer ints are never plain keys, and str() refuses ints past 4300 digits.
@@ -280,9 +281,13 @@ class GridDensity:
         _check_finite_nonneg(values, "density")
         if not values:
             raise ValueError("a grid density needs at least one cell")
-        total = delta * math.fsum(values)
-        if total == 0.0:
+        mass = math.fsum(values)
+        if mass == 0.0:
             raise AllZeroMassError("all cell densities are zero")
+        total = delta * mass
+        if total < sys.float_info.min:
+            # The integral underflows or is subnormal: bring the values to unit sum first.
+            values, total = [v / mass for v in values], delta
         return cls(origin, delta, tuple([v / total for v in values]))
 
     @property
@@ -432,11 +437,14 @@ def discretize(family: DistFamily, grid: GridSpec) -> GridDensity:
     The family density is evaluated at every cell midpoint
     ``origin + (i + 0.5) * delta``, and the values are renormalized to unit
     mass.  The grid must cover at least ``1 - 1e-6`` of the family's mass,
-    otherwise :class:`InsufficientCoverageError` is raised.
+    otherwise :class:`InsufficientCoverageError` is raised.  A grid of more
+    than ``10**7`` cells raises :class:`TooLargeError` before any cell is evaluated.
     """
     origin, delta, count = float(grid[0]), float(grid[1]), int(grid[2])
     if delta <= 0.0 or count < 1:
         raise ValueError("grid needs positive cell width and at least one cell")
+    if count > MAX_GRID_CELLS:
+        raise TooLargeError(f"grid has more than the {MAX_GRID_CELLS} cells a family allows")
     coverage = family.cdf(origin + count * delta) - family.cdf(origin)
     if coverage < 1.0 - _COVERAGE_TOL:
         raise InsufficientCoverageError(
@@ -576,8 +584,8 @@ def smooth_uniform(
         origin = _whole_cells(lo / delta_out + 1e-12, math.floor, "extent") * delta_out
     if cells is None:
         cells = max(1, _whole_cells((hi - origin) / delta_out - 1e-12, math.ceil, "extent"))
-    if cells > SMOOTH_MAX_CELLS:
-        raise TooLargeError(f"output grid has more than the {SMOOTH_MAX_CELLS} cells smoothing allows")
+    if cells > MAX_GRID_CELLS:
+        raise TooLargeError(f"output grid has more than the {MAX_GRID_CELLS} cells smoothing allows")
     if not math.isfinite(origin + cells * delta_out):
         raise NonFiniteError("smoothing extent is past the float range")
     at_edges = cdf([origin + j * delta_out for j in range(cells + 1)])

@@ -12,7 +12,9 @@ arguments, equal by default, and cross-checks its minimum with
 
 The grid is enumerated in numpy blocks of at most 16384 lexicographic
 rows, so memory stays bounded, and the reduction keeps the first minimum
-seen, so results are bit-identical however it is chunked.
+seen, so results are bit-identical however it is chunked.  Each row is
+divided by the aligned pair's joint terms ``p0**a * pL**b``; a subnormal
+term raises :class:`IncompatibleError` before any block.
 """
 
 from __future__ import annotations
@@ -107,27 +109,23 @@ def _scan(
     p0: DiscreteDist,
     like: DiscreteDist,
     K: int,
-    evaluate_rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    evaluate_rows: Callable[[np.ndarray], np.ndarray],
     a: float = 1.0,
     b: float = 1.0,
 ) -> SearchResult:
-    """Score every grid pmf on the joint support with ``evaluate_rows(rows, u, v)``,
-    which divides ``rows`` by ``u**a * v**b``."""
+    """Score every grid pmf on the joint support with ``evaluate_rows(ratios)``,
+    its rows divided by the aligned pair's terms ``u**a * v**b``.  A subnormal term
+    raises before any block, so no ratio of a row (at most 1) overflows."""
     if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
         raise RepresentationMismatchError("simplex searches take discrete inputs")
     import numpy as np
 
     aligned = _align(p0, like).require_compatible()
-    # Raises on a subnormal divisor, whose ratios would overflow.
-    aligned.products(a, b)
-    keys, u, v = aligned.labels, np.asarray(aligned.u), np.asarray(aligned.v)
+    keys, terms = aligned.labels, np.asarray(aligned.products(a, b))
     K = int(K)
     best_value, best_comp, runner_up, evaluated = math.inf, (), math.inf, 0
     for block in _composition_blocks(len(keys), K):
-        # The guard keeps every divisor normal, so ratios stay finite; should
-        # numpy's rounding of a power differ, no warning reaches stderr.
-        with np.errstate(over="ignore"):
-            values = evaluate_rows(block / K, u, v)
+        values = evaluate_rows(block / K / terms)
         i = int(np.argmin(values))
         chunk_best = float(values[i])
         chunk_second = (
@@ -155,10 +153,10 @@ def minimize_max_loss(
     loss, against :func:`~bayesfuse.information.combined_info` with the same weights."""
     a, b = _exponents(w0, wL)
 
-    def evaluate(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def evaluate(ratios: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        return np.log2((rows / (u**a * v**b)).max(axis=1))
+        return np.log2(ratios.max(axis=1))
 
     result = _scan(p0, like, K, evaluate, a, b)
     if len(result.argmin.atoms) <= _CROSS_CHECK_MAX_ATOMS:
@@ -174,8 +172,7 @@ def minimize_max_loss(
 def minimize_mlr_spread(p0: DiscreteDist, like: DiscreteDist, K: int) -> SearchResult:
     """Grid search for the pmf with the smallest likelihood-ratio spread."""
 
-    def evaluate(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        ratios = rows / (u * v)
+    def evaluate(ratios: np.ndarray) -> np.ndarray:
         return ratios.max(axis=1) - ratios.min(axis=1)
 
     return _scan(p0, like, K, evaluate)

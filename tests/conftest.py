@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bayesfuse import DiscreteDist, normalize
+from bayesfuse import DiscreteDist, dists, normalize
 
 
 def _outcome(build):
@@ -39,6 +39,18 @@ def trusted_constructions_pass_the_public_check():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DiscreteDist, "_trusted", classmethod(checked))
         yield
+
+
+@pytest.fixture()
+def uniform_cells_refused(monkeypatch):
+    """The uniform family's pdf raises, so a grid that should be refused
+    before any cell is evaluated fails at once instead of being built."""
+
+    def no_cells(*args):
+        raise AssertionError("a cell was evaluated")
+
+    uniform = dists._FAMILIES["uniform"]._replace(pdf=no_cells)
+    monkeypatch.setitem(dists._FAMILIES, "uniform", uniform)
 
 
 CORPUS_SEED = 20240817

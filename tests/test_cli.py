@@ -431,6 +431,19 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: --w0 and --wL need --objective weighted\n"
 
+    @pytest.mark.parametrize("objective", ["shannon", "mlr"])
+    def test_bad_weights_without_the_weighted_objective_are_misplaced(
+        self, capsys, files, objective
+    ):
+        """The weights' range is checked by the code that uses them, so a
+        misplaced pair is reported as misplaced, whatever its values."""
+        code, out, err = run(
+            capsys,
+            "verify", files["prior"], files["like"],
+            "--objective", objective, "--w0", "0", "--wL", "1",
+        )
+        assert (code, out, err) == (2, "", "error: --w0 and --wL need --objective weighted\n")
+
     @pytest.mark.parametrize("K", ["0", "-3"])
     def test_resolution_below_one_exits_two(self, capsys, files, K):
         code, out, err = run(capsys, "verify", files["prior"], files["like"], "--K", K)
@@ -627,6 +640,20 @@ class TestCompatCommand:
         assert code == 0
         assert report_value(out, "compatible") == "true"
         assert report_value(out, "overlap_mass") == "0.5"
+
+    def test_family_past_the_cell_cap_exits_two(self, capsys, files, uniform_cells_refused):
+        big = files["write"](
+            "big.json",
+            {
+                "kind": "family",
+                "family": "uniform",
+                "params": {"lower": 0, "upper": 1},
+                "grid": {"origin": 0, "delta": 1e-9, "cells": 1000000000},
+            },
+        )
+        code, out, err = run(capsys, "compat", big, big)
+        assert (code, out) == (2, "")
+        assert err == f"error: {big}: grid has more than the 10000000 cells a family allows\n"
 
     def test_family_missing_its_coverage_exits_two(self, capsys, files):
         narrow = files["write"](

@@ -516,6 +516,11 @@ class TestGridDensity:
         assert g.total_mass() == pytest.approx(1.0, abs=1e-15)
         assert g.densities == (1.5, 0.5)
 
+    def test_from_values_renormalizes_when_the_integral_underflows(self):
+        # 1e-3 * 5e-324 rounds to 0.0, yet the cell has mass.
+        assert GridDensity.from_values(0.0, 1e-3, [0.0, 5e-324]).densities == (0.0, 1000.0)
+        assert GridDensity.from_values(0.0, 1e-3, [1e-320, 3e-320]).densities == (250.0, 750.0)
+
     def test_midpoints_and_masses(self):
         g = GridDensity(0.0, 0.25, (1.0, 1.0, 1.0, 1.0))
         assert g.end == 1.0
@@ -632,6 +637,20 @@ class TestDiscretize:
         with pytest.raises(InsufficientCoverageError):
             discretize(DistFamily.normal(0.0, 1.0), (-1.0, 0.01, 200))
 
+    def test_grid_past_the_cell_cap_is_refused_before_any_cell(self, uniform_cells_refused):
+        """A 135-byte family file could otherwise ask for a billion cells."""
+        family = DistFamily.uniform(0.0, 1.0)
+        for grid in [(0.0, 1e-9, 10**9), (0.0, 1e-7, 10**7 + 1)]:
+            with pytest.raises(TooLargeError, match="more than the 10000000 cells"):
+                discretize(family, grid)
+
+    def test_cell_cap_admits_exactly_its_count(self, monkeypatch):
+        monkeypatch.setattr(dists, "MAX_GRID_CELLS", 4)
+        family = DistFamily.uniform(0.0, 1.0)
+        assert discretize(family, (0.0, 0.25, 4)).n_cells == 4
+        with pytest.raises(TooLargeError):
+            discretize(family, (0.0, 0.2, 5))
+
     @pytest.mark.parametrize(
         "family,grid",
         [
@@ -706,7 +725,7 @@ class TestSmoothUniform:
             smooth_uniform(DiscreteDist((("0", 1.0),)), 0.3, 0.25)
 
     def test_cell_budget_admits_exactly_its_count(self, monkeypatch):
-        monkeypatch.setattr(dists, "SMOOTH_MAX_CELLS", 4)
+        monkeypatch.setattr(dists, "MAX_GRID_CELLS", 4)
         point = DiscreteDist((("0", 1.0),))
         assert smooth_uniform(point, 0.5, 0.25).n_cells == 4
         with pytest.raises(TooLargeError):

@@ -289,10 +289,28 @@ def test_dead_private_name_guard_sees_a_leftover():
     assert _dead_private_names(sources) == ["a.py:_CANONICAL"]
 
 
+def _joint_arithmetic(source: str) -> list[str]:
+    """Code that computes joint terms: a power whose exponent is the name
+    ``a`` or ``b``, or a read of an aligned pair's raw ``u`` or ``v``.
+    Docstrings, which write ``p0**a * pL**b``, are not code."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Name)
+            and node.right.id in ("a", "b")
+        ):
+            found.append(f"**{node.right.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("u", "v"):
+            found.append(f".{node.attr}")
+    return found
+
+
 def test_conflation_arithmetic_lives_in_combine():
     """The aligned pair owns the joint terms, the subnormal test and the
-    compatibility rule: no other module names them, and the rule is written
-    once."""
+    compatibility rule: no other module names them or computes the terms,
+    and the rule is written once."""
     sources = _package_sources()
     for name in ("_joint_terms", "_MIN_NORMAL"):
         users = [m for m, source in sources.items() if re.search(rf"\b{name}\b", source)]
@@ -301,6 +319,18 @@ def test_conflation_arithmetic_lives_in_combine():
         m for m, source in sources.items() for _ in re.finditer(r"0\.0 < [\w.]+ < math\.inf", source)
     ]
     assert rules == ["combine.py"]
+    computers = [m for m, source in sources.items() if _joint_arithmetic(source)]
+    assert computers == ["combine.py"]
+
+
+def test_joint_arithmetic_guard_sees_code_not_docstrings():
+    source = (
+        'def f(aligned, rows, a, b):\n'
+        '    """Divide ``rows`` by ``u**a * v**b``."""\n'
+        '    u, v = aligned.u, aligned.v\n'
+        '    return rows / (u**a * v**b), rows**2, u**a2\n'
+    )
+    assert _joint_arithmetic(source) == [".u", ".v", "**a", "**b"]
 
 
 def _module_level_names(sources: dict[str, str]) -> list[tuple[str, str]]:

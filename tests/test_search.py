@@ -62,9 +62,9 @@ class TestCompositionBlocks:
         uniform = normalize([(k, 1.0) for k in range(4)])
         seen = []
 
-        def evaluate(rows, u, v):
-            seen.append(rows.shape)
-            return rows[:, 0]
+        def evaluate(ratios):
+            seen.append(ratios.shape)
+            return ratios[:, 0]
 
         monkeypatch.setattr(search, "_CHUNK_SIZE", 100)
         result = search._scan(uniform, uniform, 20, evaluate)
