@@ -138,16 +138,13 @@ class Report:
         return load_distribution(path, data)
 
     def emit(self, as_json: bool) -> None:
-        elapsed = time.perf_counter() - self.started
+        self.add("elapsed_seconds", time.perf_counter() - self.started)
         if as_json:
-            payload = {key: _json_value(value) for key, value in self.items}
-            payload["elapsed_seconds"] = elapsed
-            json.dump(payload, sys.stdout, indent=2)
+            json.dump({key: _json_value(value) for key, value in self.items}, sys.stdout, indent=2)
             sys.stdout.write("\n")
         else:
             for key, value in self.items:
                 sys.stdout.write(f"{key} = {fmt17(value)}\n")
-            sys.stdout.write(f"elapsed_seconds = {fmt17(elapsed)}\n")
 
 
 def _add_distribution(report: Report, prefix: str, dist: Distribution) -> None:
@@ -160,6 +157,12 @@ def _add_distribution(report: Report, prefix: str, dist: Distribution) -> None:
         report.add(f"{prefix}_origin", dist.origin)
         report.add(f"{prefix}_delta", dist.delta)
         report.add(f"{prefix}_cells", dist.n_cells)
+
+
+def _add_weights(report: Report, weights: tuple[float, float] | None) -> None:
+    if weights is not None:
+        report.add("w0", weights[0])
+        report.add("wL", weights[1])
 
 
 def _witness_text(event: Event) -> str:
@@ -181,9 +184,7 @@ def cmd_posterior(report: Report, args, prior, likelihood) -> int:
     aligned = _align(prior, likelihood)
     report.add("overlap_mass", aligned.overlap)
     posterior = _product(prior, aligned, a, b)
-    if weights is not None:
-        report.add("w0", weights[0])
-        report.add("wL", weights[1])
+    _add_weights(report, weights)
     report.add("rule", "bayes" if a == b else "weighted")
     report.add("loss_lower_bound_bits", aligned.bound(1.0, 1.0))
     _add_distribution(report, "posterior", posterior)
@@ -195,12 +196,8 @@ def cmd_posterior(report: Report, args, prior, likelihood) -> int:
 
 def cmd_loss(report: Report, args, posterior, prior, likelihood) -> int:
     weights = _weights(args)
-    if weights is None:
-        report.add("objective", "shannon")
-    else:
-        report.add("objective", "weighted")
-        report.add("w0", weights[0])
-        report.add("wL", weights[1])
+    report.add("objective", "shannon" if weights is None else "weighted")
+    _add_weights(report, weights)
     runner = max_loss_exhaustive if args.exhaustive else max_loss
     result = runner(posterior, prior, likelihood, *(weights or ()))
     report.add("method", "exhaustive" if args.exhaustive else "singleton")
@@ -224,9 +221,7 @@ def cmd_verify(report: Report, args, prior, likelihood) -> int:
     report.add("objective", args.objective)
     report.add("K", K)
     report.add("n", n)
-    if weights is not None:
-        report.add("w0", weights[0])
-        report.add("wL", weights[1])
+    _add_weights(report, weights)
     minimize = minimize_mlr_spread if args.objective == "mlr" else minimize_max_loss
     started = time.perf_counter()
     result = minimize(prior, likelihood, K, *(weights or ()))

@@ -4,7 +4,11 @@ The product rule (``bayes_posterior``) and its weighted generalization
 (``weighted_posterior``) are the distinguished combiners: they are the ones
 whose optimality the :mod:`bayesfuse.information`, :mod:`bayesfuse.ratios`
 and :mod:`bayesfuse.search` modules measure and verify.  ``linear_pool``
-is the naive baseline they are compared against.
+is the naive baseline they are compared against.  The product rule is the
+conflation of Hill, "Bayesian posteriors without Bayes' theorem"
+(arXiv:1203.0251), whose closed forms on named families are in Hill, Trans.
+AMS 363 (2011); the weighted rule is log-linear pooling (Genest, McConway &
+Schervish, Ann. Statist. 14, 1986).
 
 Weights are plain ``w0, wL`` arguments; ``_exponents`` checks them and
 divides them by their maximum, so equal weights give the product rule.

@@ -437,12 +437,13 @@ def discretize(family: DistFamily, grid: GridSpec) -> GridDensity:
     The family density is evaluated at every cell midpoint
     ``origin + (i + 0.5) * delta``, and the values are renormalized to unit
     mass.  The grid must cover at least ``1 - 1e-6`` of the family's mass,
-    otherwise :class:`InsufficientCoverageError` is raised.  A grid of more
-    than ``10**7`` cells raises :class:`TooLargeError` before any cell is evaluated.
+    otherwise :class:`InsufficientCoverageError` is raised.  A width that is
+    not positive and finite, or no cells, raises :class:`InvalidArgumentError`
+    and over ``10**7`` cells :class:`TooLargeError`, before any cell is evaluated.
     """
     origin, delta, count = float(grid[0]), float(grid[1]), int(grid[2])
-    if delta <= 0.0 or count < 1:
-        raise ValueError("grid needs positive cell width and at least one cell")
+    if not (math.isfinite(delta) and delta > 0.0 and count >= 1):
+        raise InvalidArgumentError("grid needs positive cell width and at least one cell")
     if count > MAX_GRID_CELLS:
         raise TooLargeError(f"grid has more than the {MAX_GRID_CELLS} cells a family allows")
     coverage = family.cdf(origin + count * delta) - family.cdf(origin)

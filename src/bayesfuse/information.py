@@ -10,7 +10,8 @@ posterior ``P1`` loses
 
 bits on ``A``.  ``max_loss`` reports the supremum of this loss over all
 nonempty events together with the theoretical lower bound
-``log2(1 / sum(p0 * pL))``, which the product-rule posterior attains.
+``log2(1 / sum(p0 * pL))``, which only the product rule attains (Hill,
+arXiv:1203.0251).
 The bound, like the rest of the conflation's arithmetic, is computed by
 the aligned pair of :mod:`bayesfuse.combine`; this module scores events.
 

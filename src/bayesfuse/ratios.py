@@ -4,7 +4,8 @@ For a candidate posterior ``P`` the profile lists, over the joint support
 of prior and likelihood, the ratio ``p(x) / (p0(x) * pL(x))`` between the
 candidate and the prior-likelihood product.  Its spread (max minus min) is
 the MLR objective: the product-rule posterior makes every ratio equal to
-the reciprocal overlap mass, so only it reaches spread zero.
+the reciprocal overlap mass, so only it reaches spread zero
+(Hill, arXiv:1203.0251).
 
 The evaluation universe is deliberately the joint support.  Candidates
 carrying mass where the product vanishes are rejected rather than given
@@ -59,8 +60,3 @@ def ratio_profile(
         at = aligned.labels[ratios.index(math.inf)]
         raise IncompatibleError(f"candidate-to-product ratio overflows at {at}")
     return RatioProfile(tuple(zip(map(str, aligned.labels), ratios)))
-
-
-def mlr_spread(candidate: Distribution, p0: Distribution, like: Distribution) -> float:
-    """Spread of the ratio profile; zero exactly for the product-rule posterior."""
-    return ratio_profile(candidate, p0, like).spread

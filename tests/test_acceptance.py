@@ -25,8 +25,8 @@ from bayesfuse import (
     max_loss_exhaustive,
     minimize_max_loss,
     minimize_mlr_spread,
-    mlr_spread,
     proportionality_check,
+    ratio_profile,
     shannon_info,
     smooth_uniform,
     weighted_posterior,
@@ -111,7 +111,7 @@ def test_criterion_5_ratio_spread_zero_only_at_the_product_rule(corpus):
     with criterion("5 ratio spread vanishes at the product rule; search agrees"):
         for prior, like in corpus:
             post = bayes_posterior(prior, like)
-            assert mlr_spread(post, prior, like) <= 1e-12
+            assert ratio_profile(post, prior, like).spread <= 1e-12
         post = bayes_posterior(N3_PRIOR, N3_LIKE)
         result = minimize_mlr_spread(N3_PRIOR, N3_LIKE, 200)
         assert linf_distance(result.argmin, post) <= 0.015

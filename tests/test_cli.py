@@ -655,6 +655,21 @@ class TestCompatCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {big}: grid has more than the 10000000 cells a family allows\n"
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0])
+    def test_family_without_a_finite_positive_cell_width_exits_two(self, capsys, files, delta):
+        bad = files["write"](
+            "bad.json",
+            {
+                "kind": "family",
+                "family": "uniform",
+                "params": {"lower": 0, "upper": 1},
+                "grid": {"origin": 0, "delta": delta, "cells": 4},
+            },
+        )
+        code, out, err = run(capsys, "compat", bad, bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: grid needs positive cell width and at least one cell\n"
+
     def test_family_missing_its_coverage_exits_two(self, capsys, files):
         narrow = files["write"](
             "narrow.json",

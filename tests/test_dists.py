@@ -644,6 +644,23 @@ class TestDiscretize:
             with pytest.raises(TooLargeError, match="more than the 10000000 cells"):
                 discretize(family, grid)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            (0.0, math.nan, 10**9),
+            (0.0, math.inf, 10**9),
+            (0.0, -math.inf, 10**9),
+            (0.0, 0.0, 10**9),
+            (0.0, -0.25, 10**9),
+            (0.0, 0.25, 0),
+        ],
+    )
+    def test_bad_width_or_count_is_refused_before_the_cap_and_any_cell(
+        self, grid, uniform_cells_refused
+    ):
+        with pytest.raises(InvalidArgumentError, match="positive cell width"):
+            discretize(DistFamily.uniform(0.0, 1.0), grid)
+
     def test_cell_cap_admits_exactly_its_count(self, monkeypatch):
         monkeypatch.setattr(dists, "MAX_GRID_CELLS", 4)
         family = DistFamily.uniform(0.0, 1.0)
@@ -855,12 +872,22 @@ _POINT = DiscreteDist((("0", 1.0),))
         ),
         (
             lambda: discretize(DistFamily.uniform(0.0, 1.0), (0.0, 0.0, 4)),
-            ValueError,
+            InvalidArgumentError,
+            "grid needs positive cell width and at least one cell",
+        ),
+        (
+            lambda: discretize(DistFamily.uniform(0.0, 1.0), (0.0, math.nan, 4)),
+            InvalidArgumentError,
+            "grid needs positive cell width and at least one cell",
+        ),
+        (
+            lambda: discretize(DistFamily.uniform(0.0, 1.0), (0.0, math.inf, 4)),
+            InvalidArgumentError,
             "grid needs positive cell width and at least one cell",
         ),
         (
             lambda: discretize(DistFamily.uniform(0.0, 1.0), (0.0, 0.25, 0)),
-            ValueError,
+            InvalidArgumentError,
             "grid needs positive cell width and at least one cell",
         ),
         (
@@ -901,6 +928,8 @@ _POINT = DiscreteDist((("0", 1.0),))
         "all-zero-cells",
         "non-finite-parameter",
         "zero-cell-width",
+        "nan-cell-width",
+        "infinite-cell-width",
         "zero-cells",
         "smooth-epsilon",
         "smooth-delta-out",

@@ -20,9 +20,9 @@ from bayesfuse import (
     InvalidArgumentError,
     bayes_posterior,
     max_loss,
-    mlr_spread,
     normalize,
     proportionality_check,
+    ratio_profile,
     weighted_posterior,
 )
 
@@ -147,4 +147,5 @@ def test_no_candidate_has_a_smaller_ratio_spread_than_the_closed_form(pair, data
     candidate = _candidate(data.draw, p0, like)
     # Every ratio of the closed form is 1 / sum(p0 * pL) up to rounding.
     ratios = [q / (x * y) for q, x, y in zip(_values(post), _values(p0), _values(like)) if q]
-    assert mlr_spread(candidate, p0, like) >= mlr_spread(post, p0, like) - 1e-12 * max(ratios)
+    spread = ratio_profile(candidate, p0, like).spread
+    assert spread >= ratio_profile(post, p0, like).spread - 1e-12 * max(ratios)

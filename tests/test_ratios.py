@@ -12,7 +12,6 @@ from bayesfuse import (
     UnsupportedMassError,
     bayes_posterior,
     check_compatible,
-    mlr_spread,
     normalize,
     ratio_profile,
 )
@@ -73,7 +72,7 @@ class TestMlrSpread:
     def test_product_rule_spread_is_zero(self, corpus):
         for prior, like in corpus:
             post = bayes_posterior(prior, like)
-            assert mlr_spread(post, prior, like) <= 1e-12
+            assert ratio_profile(post, prior, like).spread <= 1e-12
 
     def test_perturbations_have_positive_shrinking_spread(self):
         post = bayes_posterior(TWO_ATOM_PRIOR, TWO_ATOM_LIKE).as_dict()
@@ -82,7 +81,7 @@ class TestMlrSpread:
             perturbed = DiscreteDist(
                 (("0", post["0"] - delta), ("1", post["1"] + delta))
             )
-            spread = mlr_spread(perturbed, TWO_ATOM_PRIOR, TWO_ATOM_LIKE)
+            spread = ratio_profile(perturbed, TWO_ATOM_PRIOR, TWO_ATOM_LIKE).spread
             assert spread > 0.0
             spreads.append(spread)
         assert spreads[1] < spreads[0]
@@ -100,7 +99,7 @@ class TestMlrSpread:
                 masses[keys[i]] += shift
                 masses[keys[j]] -= shift
                 candidate = normalize(masses.items())
-                assert mlr_spread(candidate, prior, like) > 0.0
+                assert ratio_profile(candidate, prior, like).spread > 0.0
 
     def test_invariant_under_relabelling(self):
         """Moving every atom by the same key permutation leaves the spread alone."""
@@ -112,8 +111,8 @@ class TestMlrSpread:
             )
 
         candidate = DiscreteDist((("0", 0.3), ("1", 0.7)))
-        original = mlr_spread(candidate, TWO_ATOM_PRIOR, TWO_ATOM_LIKE)
-        relabelled = mlr_spread(
+        original = ratio_profile(candidate, TWO_ATOM_PRIOR, TWO_ATOM_LIKE).spread
+        relabelled = ratio_profile(
             relabel(candidate), relabel(TWO_ATOM_PRIOR), relabel(TWO_ATOM_LIKE)
-        )
+        ).spread
         assert relabelled == original
