@@ -139,12 +139,12 @@ class Report:
 
     def emit(self, as_json: bool) -> None:
         self.add("elapsed_seconds", time.perf_counter() - self.started)
+        # One write: unbuffered, each write is a system call.
         if as_json:
-            json.dump({key: _json_value(value) for key, value in self.items}, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            text = json.dumps({key: _json_value(v) for key, v in self.items}, indent=2) + "\n"
         else:
-            for key, value in self.items:
-                sys.stdout.write(f"{key} = {fmt17(value)}\n")
+            text = "".join(f"{key} = {fmt17(value)}\n" for key, value in self.items)
+        sys.stdout.write(text)
 
 
 def _add_distribution(report: Report, prefix: str, dist: Distribution) -> None:

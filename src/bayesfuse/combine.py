@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .dists import DiscreteDist, Distribution, GridDensity, _ascending, _unit_mass
+from .dists import DiscreteDist, Distribution, GridDensity, _ascending, _unit_mass, _Value
 from .errors import (
     DegenerateProductError,
     IncompatibleError,
@@ -68,8 +67,7 @@ def _compatible(mass: float) -> bool:
     return 0.0 < mass < math.inf
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(_Value):
     """Outcome of the overlap test between a prior and a likelihood."""
 
     overlap_mass: float

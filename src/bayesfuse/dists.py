@@ -19,12 +19,10 @@ import math
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, localcontext
 from functools import cached_property
 from itertools import accumulate
 from operator import add, lt
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     AllZeroMassError,
@@ -34,6 +32,10 @@ from .errors import (
     NonFiniteError,
     TooLargeError,
 )
+
+# Only keys that need decimal load it, in _decimal_key and _ascending.
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 DISCRETE_MASS_TOL = 1e-9
 GRID_MASS_TOL = 1e-6
@@ -78,6 +80,8 @@ def canonical_key(value: float | int | str | Decimal) -> str:
 
 def _decimal_key(value: float | int | str | Decimal) -> str:
     """The reference definition of :func:`canonical_key`, through Decimal."""
+    from decimal import Decimal, InvalidOperation, localcontext
+
     try:
         dec = Decimal(repr(value) if isinstance(value, float) else value)
     except InvalidOperation as exc:
@@ -100,6 +104,8 @@ def _ascending(keys: Iterable[str]) -> list[str]:
     keys = sorted(keys, key=float)
     values = list(map(float, keys))
     if any(a == b for a, b in zip(values, values[1:])):
+        from decimal import Decimal
+
         keys.sort(key=Decimal)
     return keys
 
@@ -162,8 +168,55 @@ def _merged(pairs: Iterable[tuple[float | int | str, float]]) -> tuple[list[str]
     return keys, [math.fsum(merged[key]) for key in keys]
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields as class annotations, in order, and
+    validates in ``__post_init__``, which construction calls through the
+    instance after taking the fields by position or keyword.  Fields are
+    never assigned or deleted afterwards.  ``==`` holds only between
+    instances of one class; it, ``hash`` and ``repr`` read the fields.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        bound = dict(zip(names, args), **kwargs)
+        if len(bound) != len(args) + len(kwargs) or bound.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        self.__dict__.update(bound)
+        self.__post_init__()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` to some fields, validated as a new value."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class DiscreteDist(_Value):
     """Finite-support probability mass function.
 
     ``atoms`` is a tuple of ``(key, mass)`` pairs sorted ascending by the
@@ -204,7 +257,7 @@ class DiscreteDist:
         """Build from (position, mass) pairs; canonicalizes keys and merges duplicates."""
         return cls._trusted(*_merged(pairs))
 
-    # cached_property writes the instance __dict__, which frozen leaves open.
+    # cached_property writes the instance __dict__ directly, past __setattr__.
     @cached_property
     def keys(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.atoms)
@@ -249,8 +302,7 @@ def linf_distance(a: DiscreteDist, b: DiscreteDist) -> float:
     return max(abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in keys)
 
 
-@dataclass(frozen=True)
-class GridDensity:
+class GridDensity(_Value):
     """Piecewise-constant probability density on a uniform 1-D grid.
 
     ``densities[i]`` is the probability per unit length on the cell
@@ -359,8 +411,7 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class DistFamily:
+class DistFamily(_Value):
     """A named one-parameter-family distribution used to seed grid densities.
 
     Supported families and parameters:
@@ -437,11 +488,14 @@ def discretize(family: DistFamily, grid: GridSpec) -> GridDensity:
     The family density is evaluated at every cell midpoint
     ``origin + (i + 0.5) * delta``, and the values are renormalized to unit
     mass.  The grid must cover at least ``1 - 1e-6`` of the family's mass,
-    otherwise :class:`InsufficientCoverageError` is raised.  A width that is
-    not positive and finite, or no cells, raises :class:`InvalidArgumentError`
-    and over ``10**7`` cells :class:`TooLargeError`, before any cell is evaluated.
+    otherwise :class:`InsufficientCoverageError` is raised.  An origin that is
+    not finite, a width that is not positive and finite, or no cells, raises
+    :class:`InvalidArgumentError` and over ``10**7`` cells
+    :class:`TooLargeError`, before any cell is evaluated.
     """
     origin, delta, count = float(grid[0]), float(grid[1]), int(grid[2])
+    if not math.isfinite(origin):
+        raise InvalidArgumentError(f"grid origin must be finite, got {origin!r}")
     if not (math.isfinite(delta) and delta > 0.0 and count >= 1):
         raise InvalidArgumentError("grid needs positive cell width and at least one cell")
     if count > MAX_GRID_CELLS:

@@ -37,11 +37,10 @@ one block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .combine import _align, _exponents, require_same_representation
-from .dists import DiscreteDist, Distribution, GridDensity
+from .dists import DiscreteDist, Distribution, GridDensity, _Value
 from .errors import (
     InvalidEventError,
     RepresentationMismatchError,
@@ -61,8 +60,7 @@ _CHUNK_SIZE = 16384
 ATTAINMENT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(_Value):
     """A finite set of atom keys (discrete) or cell indices (grid)."""
 
     members: frozenset
@@ -76,8 +74,7 @@ class Event:
         return cls(frozenset(members))
 
 
-@dataclass(frozen=True)
-class LossReport:
+class LossReport(_Value):
     """Value of a maximum-loss functional with its witness and lower bound.
 
     The value can never fall below the bound.

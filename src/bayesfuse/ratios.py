@@ -15,16 +15,14 @@ infinite ratios, which keeps every profile finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import truediv
 
 from .combine import _align
-from .dists import Distribution
+from .dists import Distribution, _Value
 from .errors import IncompatibleError, UnsupportedMassError
 
 
-@dataclass(frozen=True)
-class RatioProfile:
+class RatioProfile(_Value):
     """Candidate-to-product ratios over the joint support, plus their spread."""
 
     entries: tuple[tuple[str, float], ...]

@@ -20,11 +20,10 @@ term raises :class:`IncompatibleError` before any block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .combine import _align, _exponents
-from .dists import DiscreteDist, _unit_mass
+from .dists import DiscreteDist, _unit_mass, _Value
 from .errors import (
     CrossCheckError,
     InvalidArgumentError,
@@ -42,8 +41,7 @@ _CROSS_CHECK_MAX_ATOMS = 12
 _CROSS_CHECK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Value):
     """Outcome of one exhaustive scan over a simplex grid."""
 
     argmin: DiscreteDist

@@ -1,6 +1,5 @@
 """Command-line interface: reports, files, exit codes."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -455,7 +454,7 @@ class TestVerifyCommand:
         real = search.max_loss_exhaustive
 
         def skewed(p1, p0, like, w0, wL):
-            return dataclasses.replace(real(p1, p0, like, w0, wL), value=5.0)
+            return real(p1, p0, like, w0, wL)._replace(value=5.0)
 
         monkeypatch.setattr(search, "max_loss_exhaustive", skewed)
         code, out, err = run(capsys, "verify", files["prior"], files["like"], "--K", "20")
@@ -669,6 +668,21 @@ class TestCompatCommand:
         code, out, err = run(capsys, "compat", bad, bad)
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: grid needs positive cell width and at least one cell\n"
+
+    @pytest.mark.parametrize("origin", [math.nan, math.inf])
+    def test_family_without_a_finite_origin_exits_two(self, capsys, files, origin):
+        bad = files["write"](
+            "bad.json",
+            {
+                "kind": "family",
+                "family": "normal",
+                "params": {"mean": 0, "sd": 1},
+                "grid": {"origin": origin, "delta": 1e-3, "cells": 1000},
+            },
+        )
+        code, out, err = run(capsys, "compat", bad, bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: grid origin must be finite, got {origin!r}\n"
 
     def test_family_missing_its_coverage_exits_two(self, capsys, files):
         narrow = files["write"](

@@ -661,6 +661,32 @@ class TestDiscretize:
         with pytest.raises(InvalidArgumentError, match="positive cell width"):
             discretize(DistFamily.uniform(0.0, 1.0), grid)
 
+    @pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            DistFamily.normal(0.0, 1.0),
+            DistFamily.exponential(1.0),
+            DistFamily.geometric(0.5),
+            DistFamily.uniform(0.0, 1.0),
+        ],
+        ids=lambda family: family.name,
+    )
+    def test_origin_that_is_not_finite_is_refused_before_the_cap_and_any_cell(
+        self, monkeypatch, family, origin
+    ):
+        """Normal, exponential and geometric CDFs pass a NaN origin through,
+        so no coverage test would refuse it."""
+
+        def no_cells(*args):
+            raise AssertionError("a cell was evaluated")
+
+        spec = dists._FAMILIES[family.name]._replace(pdf=no_cells)
+        monkeypatch.setitem(dists._FAMILIES, family.name, spec)
+        message = f"^grid origin must be finite, got {origin!r}$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            discretize(family, (origin, 0.25, 10**9))
+
     def test_cell_cap_admits_exactly_its_count(self, monkeypatch):
         monkeypatch.setattr(dists, "MAX_GRID_CELLS", 4)
         family = DistFamily.uniform(0.0, 1.0)

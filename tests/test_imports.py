@@ -1,12 +1,14 @@
-"""Only the brute-force oracles load numpy, and no module imports a name it
-never uses.
+"""Only the brute-force oracles load numpy, start-up loads no stdlib module
+it does not use, and no module imports a name it never uses.
 
 numpy is imported by ``search.py`` (the simplex scans of ``verify``) and
 ``information.py`` (``loss --exhaustive``) alone: the package import, every
 file kind and every other command, ``smooth`` included, run on the
 standard library.  Each numpy case runs in a fresh interpreter, since this
 test process has numpy loaded already.  The scan and exhaustive cases
-check that the probe can see numpy being loaded.
+check that the probe can see numpy being loaded.  Likewise, the standard
+library commands leave ``dataclasses``, ``inspect`` and ``decimal``
+unloaded, and only keys that tie as floats load ``decimal``.
 """
 
 import ast
@@ -38,11 +40,21 @@ except SystemExit as exc:
 """
 
 
-def probe(code: str, *argv: str) -> dict:
+# The stdlib modules that start-up must not pay for, when the interpreter
+# itself has not loaded them already.
+_STARTUP_PROBE = """
+import json, sys
+unloaded = {{"dataclasses", "inspect", "decimal"}} - sys.modules.keys()
+{code}
+print(json.dumps({{"rc": rc, "loaded": sorted(unloaded & sys.modules.keys())}}))
+"""
+
+
+def probe(code: str, *argv: str, template: str = _PROBE) -> dict:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(code=code), *argv],
+        [sys.executable, "-c", template.format(code=code), *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -82,6 +94,11 @@ def paths(tmp_path_factory):
                 "params": {"lower": 0, "upper": 1},
                 "grid": {"origin": 0, "delta": 0.5, "cells": 2},
             },
+        ),
+        # Equal as floats, so loading them sorts the keys exactly, by Decimal.
+        "tie": write(
+            "tie.json",
+            {"kind": "discrete", "atoms": [["0.1", 0.5], ["0.10000000000000000001", 0.5]]},
         ),
         "out": str(tmp / "out.json"),
     }
@@ -131,6 +148,26 @@ def test_cli_loads_numpy_only_for_families_scans_and_exhaustive_loss(paths, argv
 
 def test_verify_rejects_grids_before_loading_numpy(paths):
     assert probe(_RUN_CLI, "verify", paths["grid"], paths["grid"]) == {"rc": 3, "numpy": False}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["--help"], []),
+        (["compat", "prior", "like"], []),
+        (["posterior", "prior", "like", "--out", "out"], []),
+        (["loss", "post", "prior", "like"], []),
+        (["mlr", "post", "prior", "like"], []),
+        (["smooth", "prior", "--epsilon", "0.5", "--delta", "0.25", "--out", "out"], []),
+        (["compat", "tie", "tie"], ["decimal"]),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) and value else None,
+)
+def test_cli_start_up_leaves_dataclasses_inspect_and_decimal_unloaded(paths, argv, loaded):
+    """Only keys that tie as floats load ``decimal``; that case shows the
+    probe can see a module being loaded."""
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert probe(_RUN_CLI, *argv, template=_STARTUP_PROBE) == {"rc": 0, "loaded": loaded}
 
 
 def _numpy_importers(sources: dict[str, str]) -> list[str]:

@@ -1,6 +1,5 @@
 """Brute-force simplex scans and their convergence to the closed forms."""
 
-import dataclasses
 import math
 
 import pytest
@@ -197,7 +196,7 @@ class TestMinimizeMaxLoss:
         real = search.max_loss_exhaustive
 
         def skewed(p1, p0, like, w0, wL):
-            return dataclasses.replace(real(p1, p0, like, w0, wL), value=2.0)
+            return real(p1, p0, like, w0, wL)._replace(value=2.0)
 
         monkeypatch.setattr(search, "max_loss_exhaustive", skewed)
         with pytest.raises(CrossCheckError, match=r"disagrees .* by [\d.e+-]+ bits"):
