@@ -24,7 +24,10 @@ its type.  So an unreadable input is reported before a bad flag.
 
 numpy is imported only by the brute-force oracles: ``verify`` and
 ``loss --exhaustive``.  ``compat``, ``posterior``, ``loss``, ``mlr`` and
-``smooth`` run on the standard library alone, on every file kind.
+``smooth`` run on the standard library alone, on every file kind.  Each
+handler imports the library modules it calls, so ``--help`` and a usage
+error load only ``bayesfuse``, this module and ``bayesfuse.errors``, and
+neither ``hashlib`` nor ``json``.
 ``verify`` takes ``--w0`` and ``--wL`` only with ``--objective weighted``;
 with another objective they are an argument error.
 
@@ -39,29 +42,18 @@ representation-mismatched pair (including, for ``posterior``, ``mlr`` and
 for ``mlr`` a ratio that overflows), 4 degenerate weighted product, 5
 enumeration budget exceeded (including a ``smooth`` output grid of more than
 ``10**7`` cells), 6 smoothing resolution does not divide the window, 7
-candidate mass off the joint support.
+candidate mass off the joint support, 8 numpy missing for ``verify`` or
+``loss --exhaustive`` (install the ``oracles`` extra).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import re
 import sys
 import time
-from pathlib import Path
 
-from .combine import (
-    _align,
-    _exponents,
-    _product,
-    bayes_posterior,
-    check_compatible,
-    weighted_posterior,
-)
-from .dists import DiscreteDist, Distribution, _ascending, linf_distance, smooth_uniform
 from .errors import (
     BadResolutionError,
     BayesfuseError,
@@ -70,15 +62,12 @@ from .errors import (
     IncompatibleError,
     InsufficientCoverageError,
     InvalidArgumentError,
+    MissingDependencyError,
     NonFiniteError,
     RepresentationMismatchError,
     TooLargeError,
     UnsupportedMassError,
 )
-from .fileio import load_distribution, save_distribution
-from .information import Event, max_loss, max_loss_exhaustive
-from .ratios import ratio_profile
-from .search import default_resolution, minimize_max_loss, minimize_mlr_spread
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -88,6 +77,7 @@ EXIT_DEGENERATE = 4
 EXIT_TOO_LARGE = 5
 EXIT_BAD_RESOLUTION = 6
 EXIT_UNSUPPORTED_MASS = 7
+EXIT_MISSING_DEPENDENCY = 8
 
 _ERROR_EXITS = (
     (FileFormatError, EXIT_PARSE),
@@ -100,6 +90,7 @@ _ERROR_EXITS = (
     (TooLargeError, EXIT_TOO_LARGE),
     (BadResolutionError, EXIT_BAD_RESOLUTION),
     (UnsupportedMassError, EXIT_UNSUPPORTED_MASS),
+    (MissingDependencyError, EXIT_MISSING_DEPENDENCY),
     (OSError, EXIT_PARSE),
 )
 
@@ -130,8 +121,13 @@ class Report:
     def add(self, key: str, value) -> None:
         self.items.append((key, value))
 
-    def add_input(self, role: str, path: str) -> Distribution:
+    def add_input(self, role: str, path: str):
         """Read an input file once; report its path and hash, then parse those bytes."""
+        import hashlib
+        from pathlib import Path
+
+        from .fileio import load_distribution
+
         data = Path(path).read_bytes()
         self.items.append((f"{role}_file", path))
         self.items.append((f"{role}_sha256", hashlib.sha256(data).hexdigest()))
@@ -141,13 +137,17 @@ class Report:
         self.add("elapsed_seconds", time.perf_counter() - self.started)
         # One write: unbuffered, each write is a system call.
         if as_json:
+            import json
+
             text = json.dumps({key: _json_value(v) for key, v in self.items}, indent=2) + "\n"
         else:
             text = "".join(f"{key} = {fmt17(value)}\n" for key, value in self.items)
         sys.stdout.write(text)
 
 
-def _add_distribution(report: Report, prefix: str, dist: Distribution) -> None:
+def _add_distribution(report: Report, prefix: str, dist) -> None:
+    from .dists import DiscreteDist
+
     if isinstance(dist, DiscreteDist):
         report.add(f"{prefix}_kind", "discrete")
         for key, mass in dist.atoms:
@@ -165,7 +165,9 @@ def _add_weights(report: Report, weights: tuple[float, float] | None) -> None:
         report.add("wL", weights[1])
 
 
-def _witness_text(event: Event) -> str:
+def _witness_text(event) -> str:
+    from .dists import _ascending
+
     return ",".join(_ascending(map(str, event.members)))
 
 
@@ -178,6 +180,9 @@ def _weights(args) -> tuple[float, float] | None:
 
 
 def cmd_posterior(report: Report, args, prior, likelihood) -> int:
+    from .combine import _align, _exponents, _product
+    from .fileio import save_distribution
+
     weights = _weights(args)
     a, b = _exponents(*weights) if weights else (1.0, 1.0)
     # One alignment gives the overlap, the posterior and max_loss's bound.
@@ -195,6 +200,8 @@ def cmd_posterior(report: Report, args, prior, likelihood) -> int:
 
 
 def cmd_loss(report: Report, args, posterior, prior, likelihood) -> int:
+    from .information import max_loss, max_loss_exhaustive
+
     weights = _weights(args)
     report.add("objective", "shannon" if weights is None else "weighted")
     _add_weights(report, weights)
@@ -209,6 +216,10 @@ def cmd_loss(report: Report, args, posterior, prior, likelihood) -> int:
 
 
 def cmd_verify(report: Report, args, prior, likelihood) -> int:
+    from .combine import _align, bayes_posterior, weighted_posterior
+    from .dists import linf_distance
+    from .search import default_resolution, minimize_max_loss, minimize_mlr_spread
+
     # The scan, its cross-check and the closed form align the pair again on
     # their own: they are the independent oracles this command compares.
     n = len(_align(prior, likelihood).require_compatible().labels)
@@ -247,6 +258,9 @@ def cmd_verify(report: Report, args, prior, likelihood) -> int:
 
 
 def cmd_smooth(report: Report, args, dist) -> int:
+    from .dists import smooth_uniform
+    from .fileio import save_distribution
+
     smoothed = smooth_uniform(
         dist,
         args.epsilon,
@@ -265,6 +279,8 @@ def cmd_smooth(report: Report, args, dist) -> int:
 
 
 def cmd_compat(report: Report, args, prior, likelihood) -> int:
+    from .combine import check_compatible
+
     result = check_compatible(prior, likelihood)
     report.add("compatible", result.compatible)
     report.add("overlap_mass", result.overlap_mass)
@@ -272,6 +288,8 @@ def cmd_compat(report: Report, args, prior, likelihood) -> int:
 
 
 def cmd_mlr(report: Report, args, candidate, prior, likelihood) -> int:
+    from .ratios import ratio_profile
+
     profile = ratio_profile(candidate, prior, likelihood)
     for key, ratio in profile.entries:
         report.add(f"ratio_{key}", ratio)

@@ -55,3 +55,7 @@ class InvalidArgumentError(BayesfuseError, ValueError):
 
 class CrossCheckError(BayesfuseError):
     """A brute-force search disagrees with the exhaustive event oracle."""
+
+
+class MissingDependencyError(BayesfuseError, ImportError):
+    """An optional dependency, such as numpy for the brute-force oracles, is not installed."""

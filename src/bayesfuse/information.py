@@ -43,11 +43,12 @@ from .combine import _align, _exponents, require_same_representation
 from .dists import DiscreteDist, Distribution, GridDensity, _Value
 from .errors import (
     InvalidEventError,
+    MissingDependencyError,
     RepresentationMismatchError,
     TooLargeError,
 )
 
-# numpy is imported by the exhaustive enumeration only.
+# numpy is imported by the brute-force oracles only, through _numpy.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -167,9 +168,21 @@ def max_loss(
     return LossReport(max(best_value, 0.0), Event.of(best_label), lower_bound)
 
 
-def _subset_sums(values) -> np.ndarray:
-    import numpy as np
+def _numpy():
+    """The numpy module, which only the brute-force oracles need; without it,
+    a :class:`MissingDependencyError` names the extra that installs it."""
+    try:
+        import numpy
+    except ModuleNotFoundError as exc:
+        raise MissingDependencyError(
+            "the brute-force oracles need numpy, which is not installed: "
+            "pip install 'bayesfuse[oracles]'"
+        ) from exc
+    return numpy
 
+
+def _subset_sums(values) -> np.ndarray:
+    np = _numpy()
     sums = np.zeros(1)
     for value in values:
         sums = np.concatenate([sums, sums + value])
@@ -209,8 +222,7 @@ def max_loss_exhaustive(
     lower_bound = aligned.bound(a, b)
     if aligned.strays:
         return LossReport(math.inf, Event.of(aligned.strays[0]), lower_bound)
-    import numpy as np
-
+    np = _numpy()
     # A block holds the 2**low masks that share their high bits: the subset
     # sums of the low atoms plus the block's high atoms, added one at a time
     # in index order as _subset_sums adds them, so every sum keeps its bits.

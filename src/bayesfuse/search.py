@@ -30,7 +30,7 @@ from .errors import (
     RepresentationMismatchError,
     TooLargeError,
 )
-from .information import _CHUNK_SIZE, max_loss_exhaustive
+from .information import _CHUNK_SIZE, _numpy, max_loss_exhaustive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,8 +73,7 @@ def _composition_blocks(n: int, K: int) -> Iterator[np.ndarray]:
     count = math.comb(K + n - 1, n - 1)
     if count > EVALUATION_BUDGET:
         raise TooLargeError(f"{count} grid points exceed the budget of {EVALUATION_BUDGET}")
-    import numpy as np
-
+    np = _numpy()
     sizes = {2: np.arange(1, K + 2)} if n > 2 else {}
     for p in range(3, n + 1):
         sizes[p] = np.cumsum(sizes[p - 1])
@@ -116,8 +115,7 @@ def _scan(
     raises before any block, so no ratio of a row (at most 1) overflows."""
     if not isinstance(p0, DiscreteDist) or not isinstance(like, DiscreteDist):
         raise RepresentationMismatchError("simplex searches take discrete inputs")
-    import numpy as np
-
+    np = _numpy()
     aligned = _align(p0, like).require_compatible()
     keys, terms = aligned.labels, np.asarray(aligned.products(a, b))
     K = int(K)
@@ -152,9 +150,7 @@ def minimize_max_loss(
     a, b = _exponents(w0, wL)
 
     def evaluate(ratios: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.log2(ratios.max(axis=1))
+        return _numpy().log2(ratios.max(axis=1))
 
     result = _scan(p0, like, K, evaluate, a, b)
     if len(result.argmin.atoms) <= _CROSS_CHECK_MAX_ATOMS:

@@ -1,14 +1,18 @@
-"""Only the brute-force oracles load numpy, start-up loads no stdlib module
-it does not use, and no module imports a name it never uses.
+"""Only the brute-force oracles load numpy, each command loads only the
+modules it runs, and no module imports a name it never uses.
 
 numpy is imported by ``search.py`` (the simplex scans of ``verify``) and
 ``information.py`` (``loss --exhaustive``) alone: the package import, every
 file kind and every other command, ``smooth`` included, run on the
-standard library.  Each numpy case runs in a fresh interpreter, since this
-test process has numpy loaded already.  The scan and exhaustive cases
-check that the probe can see numpy being loaded.  Likewise, the standard
+standard library, and without numpy the two oracles exit 8 with one error
+line.  Each numpy case runs in a fresh interpreter, since this test
+process has numpy loaded already.  The scan and exhaustive cases check
+that the probe can see numpy being loaded.  Likewise, the standard
 library commands leave ``dataclasses``, ``inspect`` and ``decimal``
-unloaded, and only keys that tie as floats load ``decimal``.
+unloaded, and only keys that tie as floats load ``decimal``.  The package
+loads a submodule when one of its names is first read, so ``--help``
+loads no library module but ``bayesfuse.errors``, and neither ``hashlib``
+nor ``json``.
 """
 
 import ast
@@ -50,16 +54,40 @@ print(json.dumps({{"rc": rc, "loaded": sorted(unloaded & sys.modules.keys())}}))
 """
 
 
-def probe(code: str, *argv: str, template: str = _PROBE) -> dict:
+# The package's modules a call loads, and which of ``hashlib`` and ``json``
+# it loads of those the interpreter had not loaded already.
+_MODULES_PROBE = """
+import sys
+unloaded = {{"hashlib", "json"}} - sys.modules.keys()
+{code}
+modules = sorted(m for m in sys.modules if m.partition(".")[0] == "bayesfuse")
+stdlib = sorted(unloaded & sys.modules.keys())
+import json
+print(json.dumps({{"rc": rc, "modules": modules, "stdlib": stdlib, "unloaded": sorted(unloaded)}}))
+"""
+
+_HIDE_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from bayesfuse.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", template.format(code=code), *argv],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def probe(code: str, *argv: str, template: str = _PROBE) -> dict:
+    proc = run_python(template.format(code=code), *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -151,6 +179,76 @@ def test_verify_rejects_grids_before_loading_numpy(paths):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["verify", "prior", "like", "--K", "4"], ["loss", "post", "prior", "like", "--exhaustive"]],
+    ids=" ".join,
+)
+def test_oracles_without_numpy_exit_eight_with_one_error_line(paths, argv):
+    proc = run_python(_HIDE_NUMPY, *(paths.get(arg, arg) for arg in argv))
+    assert (proc.returncode, proc.stdout) == (8, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "pip install 'bayesfuse[oracles]'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_START = ["bayesfuse", "bayesfuse.cli", "bayesfuse.errors"]
+_READ = sorted([*_START, "bayesfuse.dists", "bayesfuse.fileio"])
+_PAIR = sorted([*_READ, "bayesfuse.combine"])
+
+
+@pytest.mark.parametrize(
+    "argv, rc", [(["--help"], 0), (["compat", "prior"], 2)], ids=["help", "usage-error"]
+)
+def test_a_call_that_stops_in_argparse_loads_no_library_module(paths, argv, rc):
+    result = probe(_RUN_CLI, *(paths.get(arg, arg) for arg in argv), template=_MODULES_PROBE)
+    assert (result["rc"], result["modules"], result["stdlib"]) == (rc, _START, [])
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["compat", "prior", "like"], _PAIR),
+        (["posterior", "prior", "like", "--out", "out"], _PAIR),
+        (["compat", "grid", "grid"], _PAIR),
+        (["posterior", "grid", "grid", "--out", "out"], _PAIR),
+        (["compat", "family", "family"], _PAIR),
+        (["posterior", "family", "family", "--out", "out"], _PAIR),
+        (["smooth", "prior", "--epsilon", "0.5", "--delta", "0.25", "--out", "out"], _READ),
+        (["loss", "post", "prior", "like"], [*_PAIR, "bayesfuse.information"]),
+        (["loss", "post", "prior", "like", "--exhaustive"], [*_PAIR, "bayesfuse.information"]),
+        (["mlr", "post", "prior", "like"], [*_PAIR, "bayesfuse.ratios"]),
+        (
+            ["verify", "prior", "like", "--K", "4"],
+            [*_PAIR, "bayesfuse.information", "bayesfuse.search"],
+        ),
+    ],
+    ids=lambda value: None if value[0].startswith("bayesfuse") else " ".join(value),
+)
+def test_each_command_loads_only_the_modules_it_runs(paths, argv, modules):
+    """Reading a file loads ``hashlib`` and ``json``, which shows the probe
+    can see the two modules that an argparse exit leaves unloaded."""
+    result = probe(_RUN_CLI, *(paths.get(arg, arg) for arg in argv), template=_MODULES_PROBE)
+    assert (result["rc"], result["modules"]) == (0, modules)
+    assert result["stdlib"] == result["unloaded"]
+
+
+def test_the_package_loads_a_module_when_one_of_its_names_is_read():
+    result = probe(
+        "import bayesfuse; rc = 0 if bayesfuse.max_loss is bayesfuse.information.max_loss else 1",
+        template=_MODULES_PROBE,
+    )
+    assert result["rc"] == 0
+    assert result["modules"] == [
+        "bayesfuse",
+        "bayesfuse.combine",
+        "bayesfuse.dists",
+        "bayesfuse.errors",
+        "bayesfuse.information",
+    ]
+    assert probe("import bayesfuse; rc = 0", template=_MODULES_PROBE)["modules"] == ["bayesfuse"]
+
+
+@pytest.mark.parametrize(
     "argv, loaded",
     [
         (["--help"], []),
@@ -213,6 +311,23 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in listed
     with pytest.raises(AttributeError):
         bayesfuse.no_such_name
+
+
+def test_the_lazy_namespace_gives_each_module_its_own_objects():
+    for name in bayesfuse.__all__:
+        value = getattr(bayesfuse, name)
+        assert value is getattr(sys.modules[f"bayesfuse.{bayesfuse._SOURCE[name]}"], name)
+    assert bayesfuse.search is sys.modules["bayesfuse.search"]
+    assert bayesfuse.cli is sys.modules["bayesfuse.cli"]
+    message = "^module 'bayesfuse' has no attribute 'no_such_name'$"
+    with pytest.raises(AttributeError, match=message):
+        bayesfuse.no_such_name
+
+
+def test_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert bayesfuse.__version__ == tomllib.loads(text)["project"]["version"]
 
 
 def _annotations(tree: ast.Module):
