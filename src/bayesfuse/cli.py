@@ -27,7 +27,8 @@ numpy is imported only by the brute-force oracles: ``verify`` and
 ``smooth`` run on the standard library alone, on every file kind.  Each
 handler imports the library modules it calls, so ``--help`` and a usage
 error load only ``bayesfuse``, this module and ``bayesfuse.errors``, and
-neither ``hashlib`` nor ``json``.
+neither ``hashlib`` nor ``json``.  Past argument parsing, a call runs with
+the cyclic garbage collector off, and ``main`` restores its state on return.
 ``verify`` takes ``--w0`` and ``--wL`` only with ``--objective weighted``;
 with another objective they are an argument error.
 
@@ -49,6 +50,7 @@ candidate mass off the joint support, 8 numpy missing for ``verify`` or
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import re
 import sys
@@ -368,6 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = Report(args.command)
+    # A call makes tens of thousands of lists and tuples that are in no
+    # reference cycle: the cyclic collector would only rescan them.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         inputs = [report.add_input(role, getattr(args, role)) for role in args.roles]
         code = args.handler(report, args, *inputs)
@@ -376,6 +382,9 @@ def main(argv=None) -> int:
     except (BayesfuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_FAIL)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

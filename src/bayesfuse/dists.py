@@ -44,11 +44,14 @@ MAX_GRID_CELLS = 10**7
 _KEY_PRECISION = 50
 # Longer ints are never plain keys, and str() refuses ints past 4300 digits.
 _INT_LIMIT = 10**_KEY_PRECISION
-# Plain ASCII decimals, -?[0-9]+(\.[0-9]+)?, in three groups: the sign, the
-# whole part without leading zeros (one digit kept) and the fraction without
-# trailing zeros.  [0-9], not \d: Decimal also reads non-ASCII digits, and
-# rewrites them.
-_PLAIN_DECIMAL = re.compile(r"(-?)0*([0-9]+?)(?:\.(?=[0-9])([0-9]*?)0*)?")
+# Plain ASCII decimals, one a line: -?[0-9]+(\.[0-9]+)? with no leading zero
+# in the whole part.  [0-9], not \d: Decimal also reads non-ASCII digits,
+# and rewrites them.  A line never matches in two ways, so the repeat can be
+# possessive (Python 3.11 on), which keeps no backtracking state for each line.
+_LINE = r"-?(?:[1-9][0-9]*|0)(?:\.[0-9]+)?"
+_PLAIN_LINES = re.compile(
+    rf"{_LINE}(?:\n{_LINE})" + ("*+" if sys.version_info >= (3, 11) else "*")
+)
 
 
 def canonical_key(value: float | int | str | Decimal) -> str:
@@ -69,18 +72,23 @@ def canonical_key(value: float | int | str | Decimal) -> str:
     else:
         return _decimal_key(value)
     # At most 50 characters hold at most 50 digits, so the Decimal path
-    # would not round: plain ASCII decimals are canonicalized as text.
-    plain = _PLAIN_DECIMAL.fullmatch(text) if len(text) <= _KEY_PRECISION else None
-    if plain:
-        sign, whole, fraction = plain.groups()
-        body = f"{whole}.{fraction}" if fraction else whole
-        return "0" if body == "0" else sign + body
+    # would not round: plain ASCII decimals are canonicalized as text.  A
+    # "\n" would make the text two lines.
+    if len(text) <= _KEY_PRECISION and "\n" not in text and _PLAIN_LINES.fullmatch(text):
+        return _trimmed(text)
     return _decimal_key(value)
+
+
+def _trimmed(plain: str) -> str:
+    """The canonical key of one line that ``_PLAIN_LINES`` matches: the
+    fraction's trailing zeros stripped, and "-0" made "0"."""
+    key = plain.rstrip("0").rstrip(".") if "." in plain else plain
+    return "0" if key == "-0" else key
 
 
 def _decimal_key(value: float | int | str | Decimal) -> str:
     """The reference definition of :func:`canonical_key`, through Decimal."""
-    from decimal import Decimal, InvalidOperation, localcontext
+    from decimal import Decimal, InvalidOperation, Overflow, Subnormal, localcontext
 
     try:
         dec = Decimal(repr(value) if isinstance(value, float) else value)
@@ -90,7 +98,15 @@ def _decimal_key(value: float | int | str | Decimal) -> str:
         raise NonFiniteError(f"atom position is not finite: {value!r}")
     with localcontext() as ctx:
         ctx.prec = _KEY_PRECISION
-        text = format(dec.normalize(), "f")
+        # Overflow is trapped already; a subnormal position would lose
+        # digits, or round to 0 and merge with the atom 0.
+        ctx.traps[Subnormal] = True
+        try:
+            text = format(dec.normalize(), "f")
+        except (Overflow, Subnormal) as exc:
+            raise InvalidArgumentError(
+                f"atom key is outside the decimal exponent range: {value!r}"
+            ) from exc
     return "0" if text == "-0" else text
 
 
@@ -145,17 +161,44 @@ def _force_unit_sum(masses: list[float]) -> list[float]:
     raise AssertionError("unit-sum adjustment did not converge")
 
 
+def _canonical_keys(raw_keys: list) -> list[str]:
+    """:func:`canonical_key` of each key, from a few passes over the whole list.
+
+    When every key is exactly a ``str``, ``int`` or ``float``, its ``str()``
+    is the text ``canonical_key`` starts from.  When those texts are at most
+    50 characters each, one ``fullmatch`` of ``_PLAIN_LINES`` over their
+    ``"\\n"``-joined text tells whether all of them are plain.  Any other
+    list goes through ``canonical_key`` key by key.
+    """
+    if set(map(type, raw_keys)) <= {str, int, float}:
+        try:
+            texts = list(map(str, raw_keys))
+        except ValueError:  # an int too long for str()
+            texts = []
+        joined = "\n".join(texts)
+        # A "\n" inside a key would read as two keys.
+        if (
+            texts
+            and joined.count("\n") == len(texts) - 1
+            and max(map(len, texts)) <= _KEY_PRECISION
+            and _PLAIN_LINES.fullmatch(joined)
+        ):
+            return list(map(_trimmed, texts))
+    return list(map(canonical_key, raw_keys))
+
+
 def _merged(pairs: Iterable[tuple[float | int | str, float]]) -> tuple[list[str], list[float]]:
     """The atoms of ``pairs``: canonical keys, distinct and ascending, with their masses.
 
     Each key is canonicalized once.  Pairs whose keys canonicalize to the
     same string are one atom, whose mass is the ``fsum`` of theirs.
     """
-    keys: list[str] = []
+    raw_keys: list = []
     masses: list[float] = []
     for raw_key, mass in pairs:
-        keys.append(canonical_key(raw_key))
+        raw_keys.append(raw_key)
         masses.append(float(mass))
+    keys = _canonical_keys(raw_keys)
     positions = list(map(float, keys))
     if all(map(lt, positions, positions[1:])):
         # Distinct and in order already, as in written files: each key
@@ -246,10 +289,13 @@ class DiscreteDist(_Value):
         The masses get every check of the public constructor; only the key
         checks are skipped, since the caller guarantees them.
         """
+        keys = tuple(keys)
         _check_masses(masses)
         _check_unit_sum(masses)
         dist = object.__new__(cls)
         object.__setattr__(dist, "atoms", tuple(zip(keys, masses)))
+        # The cached properties' values, from the lists already at hand.
+        dist.__dict__.update(keys=keys, masses=tuple(masses))
         return dist
 
     @classmethod

@@ -1,5 +1,6 @@
 """Command-line interface: reports, files, exit codes."""
 
+import gc
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import re
 
 import pytest
 
-from bayesfuse import Event, load_distribution, search
+from bayesfuse import Event, cli, load_distribution, search
 from bayesfuse.cli import _witness_text, fmt17, main
 
 
@@ -65,6 +66,50 @@ def test_witness_lists_members_in_numeric_order():
         ["-1", "0.1", "0.10000000000000000001", "9", "10", "1" + "0" * 400]
     )
     assert _witness_text(Event.of(10, 9, 0)) == "0,9,10"
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for one test, and restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCyclicCollector:
+    """A call runs with the cyclic collector off, and ``main`` leaves it as it found it."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["compat", "{prior}", "{like}"], 0),
+            (["posterior", "{prior}", "{far}"], 3),
+            (["compat", "{prior}", "{tmp}/missing.json"], 2),
+        ],
+        ids=["success", "exit-3", "exit-2"],
+    )
+    def test_main_restores_the_collector(self, capsys, files, monkeypatch, collector, argv, code):
+        seen = []
+        for name in ("cmd_compat", "cmd_posterior"):
+            handler = getattr(cli, name)
+
+            def spy(*args, handler=handler):
+                seen.append(gc.isenabled())
+                return handler(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        assert main([arg.format(**files) for arg in argv]) == code
+        assert gc.isenabled() is collector
+        assert seen == ([] if code == 2 else [False])
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compat"], ["posterior", "a", "b", "--w0"]])
+    def test_argparse_exit_leaves_the_collector_alone(self, capsys, collector, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert gc.isenabled() is collector
+        capsys.readouterr()
 
 
 class TestCommandSkeleton:
@@ -700,6 +745,14 @@ class TestCompatCommand:
         assert err == (
             f"error: {narrow}: grid covers 0.682689492 of the normal mass, need >= 0.999999\n"
         )
+
+    @pytest.mark.parametrize("key", ["1e1000000", "1e-1000049"])
+    def test_key_outside_the_exponent_range_exits_two(self, capsys, files, key):
+        """Decimal would overflow on the first key, and round the second to the atom 0."""
+        bad = files["write"]("bad.json", {"kind": "discrete", "atoms": [[key, 0.5], ["0", 0.5]]})
+        code, out, err = run(capsys, "compat", bad, bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: atom key is outside the decimal exponent range: {key!r}\n"
 
     @pytest.mark.parametrize("key", ["NaN", "-Infinity"])
     def test_non_finite_key_exits_two(self, capsys, files, key):

@@ -2,7 +2,7 @@
 
 import math
 import re
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation, Overflow, localcontext
 
 import numpy as np
 import pytest
@@ -216,7 +216,13 @@ def _reference_canonical_key(value):
         raise NonFiniteError(f"atom position is not finite: {value!r}")
     with localcontext() as ctx:
         ctx.prec = 50
-        text = format(dec.normalize(), "f")
+        ctx.traps[Overflow] = False
+        rounded = dec.normalize()
+    # A nonzero position whose leading digit, after rounding, is not between
+    # 10**-999999 and 10**999999 has no exact 50-digit key.
+    if dec and not (rounded.is_finite() and rounded and -999999 <= rounded.adjusted() <= 999999):
+        raise InvalidArgumentError(f"atom key is outside the decimal exponent range: {value!r}")
+    text = format(rounded, "f")
     return "0" if text == "-0" else text
 
 
@@ -269,13 +275,68 @@ _KEY_INPUTS = (
 )
 
 
+class _Float(float):
+    """A float whose ``str()`` is not the ``repr`` that ``canonical_key`` reads."""
+
+    def __str__(self):
+        return "7"
+
+
+# Keys whose str() is a plain decimal of at most 50 characters, mostly, so
+# that a drawn list often takes the bulk path of one fullmatch.
+_PLAIN_KEYS = (
+    st.from_regex(r"-?(0|[1-9][0-9]{0,20})(\.[0-9]{1,20})?", fullmatch=True)
+    | st.floats(-1e15, 1e15)
+    | st.integers(-(10**49), 10**50)
+)
+
+
 class TestCanonicalKeys:
     @settings(deadline=None, max_examples=400)
     @given(_KEY_INPUTS)
     @example("-0").via("the one canonical text with a sign the pattern allows")
     @example(-(10**5000)).via("an int too long for str()")
+    @example("1e1000000").via("past the largest exponent")
+    @example("9" * 51 + "e999949").via("past the largest exponent once rounded")
+    @example("1e999999").via("the largest exponent")
+    @example("-1e-999999").via("the smallest exponent")
+    @example("1e-1000000").via("a subnormal position")
+    @example("1e-1000049").via("a position that would round to 0")
+    @example("0e-2000000").via("zero, with any exponent")
+    @example("1\n2").via("two plain lines")
     def test_matches_the_decimal_reference(self, value):
         assert _outcome(canonical_key, value) == _outcome(_reference_canonical_key, value)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_KEY_INPUTS | _PLAIN_KEYS, max_size=8))
+    @example(["0\n1", "1"]).via("a newline inside a key")
+    @example(["-0.0", "2"]).via("negative zero")
+    @example(["007.50", "2"]).via("leading zeros")
+    @example(["1" * 50, "-" + "1" * 49]).via("50 characters")
+    @example(["1" * 51, "2"]).via("51 characters")
+    @example([10**50, 2]).via("a 51-digit int")
+    @example([True, 2]).via("a bool")
+    @example([_Float(0.5), 2]).via("a float subclass, whose str() is not the text")
+    @example([10**4301, 2]).via("an int too long for str()")
+    @example([]).via("no keys")
+    def test_bulk_keys_match_canonical_key_per_key(self, keys):
+        per_key = _outcome(lambda ks: [canonical_key(k) for k in ks], keys)
+        assert _outcome(dists._canonical_keys, keys) == per_key
+
+    def test_plain_keys_are_canonicalized_in_bulk(self, monkeypatch):
+        def refuse(key):
+            raise AssertionError(f"{key!r} was canonicalized on its own")
+
+        monkeypatch.setattr(dists, "canonical_key", refuse)
+        keys = ["-0.0", "12.500", "3", -4.25, 100.0, 7, "1" * 50, "-0.05"]
+        expected = ["0", "12.5", "3", "-4.25", "100", "7", "1" * 50, "-0.05"]
+        assert dists._canonical_keys(keys) == expected
+
+    def test_keys_outside_the_exponent_range_are_refused(self):
+        for key in ("1e1000000", "-1e1000000", "1e-1000049", "1e-1000000"):
+            with pytest.raises(InvalidArgumentError, match="outside the decimal exponent range"):
+                canonical_key(key)
+        assert canonical_key("1e-999999") == "0." + "0" * 999998 + "1"
 
     @settings(deadline=None, max_examples=200)
     @given(_KEY_INPUTS)

@@ -114,6 +114,23 @@ class TestLoading:
         loaded = load_distribution(path)
         assert loaded.keys == ("0.5", "1")
 
+    def test_a_discrete_file_is_built_by_from_pairs(self, tmp_path, monkeypatch):
+        """The loader builds through the public ``from_pairs``, whose span the
+        benchmark's tracer times."""
+        built = []
+        from_pairs = DiscreteDist.from_pairs.__func__
+
+        def spy(cls, pairs):
+            built.append(from_pairs(cls, pairs))
+            return built[-1]
+
+        monkeypatch.setattr(DiscreteDist, "from_pairs", classmethod(spy))
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"kind": "discrete", "atoms": [["1.50", 0.5], [2, 0.5]]}))
+        loaded = load_distribution(path)
+        assert len(built) == 1 and built[0] is loaded
+        assert loaded.atoms == (("1.5", 0.5), ("2", 0.5))
+
     def test_plain_keys_load_without_decimal(self, tmp_path, monkeypatch):
         """Canonical, JSON-number and trailing-zero keys take the text path."""
 
