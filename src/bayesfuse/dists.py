@@ -42,8 +42,6 @@ GRID_MASS_TOL = 1e-6
 MAX_GRID_CELLS = 10**7
 
 _KEY_PRECISION = 50
-# Longer ints are never plain keys, and str() refuses ints past 4300 digits.
-_INT_LIMIT = 10**_KEY_PRECISION
 # Plain ASCII decimals, one a line: -?[0-9]+(\.[0-9]+)? with no leading zero
 # in the whole part.  [0-9], not \d: Decimal also reads non-ASCII digits,
 # and rewrites them.  A line never matches in two ways, so the repeat can be
@@ -60,23 +58,11 @@ def canonical_key(value: float | int | str | Decimal) -> str:
     Canonical means: plain decimal notation (no exponent), trailing zeros
     stripped, no trailing decimal point, and never "-0".  Floats are taken
     at their shortest round-trip representation, so ``canonical_key(0.5)``
-    and ``canonical_key("0.5")`` agree.  Positions are rounded to 50
+    and ``canonical_key("0.5")`` agree; a float subclass, such as
+    ``numpy.float64``, is read as a float.  Positions are rounded to 50
     significant digits.
     """
-    if isinstance(value, str):
-        text = value
-    elif isinstance(value, float):
-        text = repr(value)
-    elif isinstance(value, int) and not isinstance(value, bool) and abs(value) < _INT_LIMIT:
-        text = str(value)
-    else:
-        return _decimal_key(value)
-    # At most 50 characters hold at most 50 digits, so the Decimal path
-    # would not round: plain ASCII decimals are canonicalized as text.  A
-    # "\n" would make the text two lines.
-    if len(text) <= _KEY_PRECISION and "\n" not in text and _PLAIN_LINES.fullmatch(text):
-        return _trimmed(text)
-    return _decimal_key(value)
+    return _canonical_keys([value])[0]
 
 
 def _trimmed(plain: str) -> str:
@@ -91,7 +77,7 @@ def _decimal_key(value: float | int | str | Decimal) -> str:
     from decimal import Decimal, InvalidOperation, Overflow, Subnormal, localcontext
 
     try:
-        dec = Decimal(repr(value) if isinstance(value, float) else value)
+        dec = Decimal(float.__repr__(value) if isinstance(value, float) else value)
     except InvalidOperation as exc:
         raise ValueError(f"not a decimal atom key: {value!r}") from exc
     if not dec.is_finite():
@@ -162,13 +148,13 @@ def _force_unit_sum(masses: list[float]) -> list[float]:
 
 
 def _canonical_keys(raw_keys: list) -> list[str]:
-    """:func:`canonical_key` of each key, from a few passes over the whole list.
+    """:func:`canonical_key` of each key: the one path that reads plain key text.
 
-    When every key is exactly a ``str``, ``int`` or ``float``, its ``str()``
-    is the text ``canonical_key`` starts from.  When those texts are at most
-    50 characters each, one ``fullmatch`` of ``_PLAIN_LINES`` over their
-    ``"\\n"``-joined text tells whether all of them are plain.  Any other
-    list goes through ``canonical_key`` key by key.
+    When each key is exactly a ``str``, ``int`` or ``float`` whose ``str()``
+    has at most 50 characters, hence at most 50 digits and nothing for Decimal
+    to round, one ``fullmatch`` of ``_PLAIN_LINES`` over the ``"\\n"``-joined
+    texts tells whether all are plain; each is then trimmed.  Otherwise one
+    key goes to ``_decimal_key``, and a longer list key by key.
     """
     if set(map(type, raw_keys)) <= {str, int, float}:
         try:
@@ -184,6 +170,8 @@ def _canonical_keys(raw_keys: list) -> list[str]:
             and _PLAIN_LINES.fullmatch(joined)
         ):
             return list(map(_trimmed, texts))
+    if len(raw_keys) == 1:
+        return [_decimal_key(raw_keys[0])]
     return list(map(canonical_key, raw_keys))
 
 
@@ -199,6 +187,8 @@ def _merged(pairs: Iterable[tuple[float | int | str, float]]) -> tuple[list[str]
         raw_keys.append(raw_key)
         masses.append(float(mass))
     keys = _canonical_keys(raw_keys)
+    # Each mass as given: summing duplicates first could hide a negative one.
+    _check_masses(masses)
     positions = list(map(float, keys))
     if all(map(lt, positions, positions[1:])):
         # Distinct and in order already, as in written files: each key
@@ -275,8 +265,8 @@ class DiscreteDist(_Value):
         masses = self.masses
         _check_masses(masses)
         keys = self.keys
-        for key in keys:
-            if canonical_key(key) != key:
+        for key, canonical in zip(keys, _canonical_keys(list(keys))):
+            if canonical != key:
                 raise ValueError(f"atom key is not canonical: {key!r}")
         if _ascending(set(keys)) != list(keys):
             raise ValueError("atom keys must be strictly increasing")
@@ -320,14 +310,12 @@ def normalize(raw: Iterable[tuple[float | int | str, float]]) -> DiscreteDist:
     """Scale raw nonnegative masses by the reciprocal of their total.
 
     Duplicate positions (after key canonicalization) accumulate before
-    scaling.  Raises :class:`AllZeroMassError` when every mass is zero and
+    scaling; each mass is checked as given, after the keys.  Raises
+    :class:`AllZeroMassError` when every mass is zero and
     :class:`NonFiniteError` on NaN/infinite input.  The result sums to 1.0
     exactly, so ``normalize`` is exactly idempotent.
     """
-    pairs = [(key, float(mass)) for key, mass in raw]
-    # Checked as given: summing duplicates first could hide a negative mass.
-    _check_masses([mass for _, mass in pairs])
-    return _unit_mass(*_merged(pairs))
+    return _unit_mass(*_merged(raw))
 
 
 def _unit_mass(keys: Iterable[str], masses: list[float]) -> DiscreteDist:

@@ -170,6 +170,10 @@ class TestBadInputFile:
              "malformed 'discrete' distribution: mass must be nonnegative, got -0.5"),
             (b'{"kind": "discrete", "atoms": [["0", 0.5], ["1", 0.4]]}',
              "malformed 'discrete' distribution: masses sum to 0.9, not 1"),
+            (b'{"kind": "discrete", "atoms": [["0", -0.5], ["0.0", 1.5], ["1", 0.0]]}',
+             "malformed 'discrete' distribution: mass must be nonnegative, got -0.5"),
+            (b'{"kind": "discrete", "atoms": [["0", Infinity], ["0", -Infinity], ["1", 1.0]]}',
+             "mass must be finite, got inf"),
             (b'{"kind": "grid", "origin": 0, "delta": -1, "densities": [1]}',
              "malformed 'grid' distribution: cell width must be positive, got -1.0"),
             (b'{"kind": "discrete", "atoms": [["x", 1.0]]}',
@@ -180,7 +184,8 @@ class TestBadInputFile:
             (b"[1, 2, 3]", "distribution file must hold a JSON object"),
         ],
         ids=[
-            "negative-mass", "mass-sum", "negative-cell-width", "non-decimal-key",
+            "negative-mass", "mass-sum", "negative-mass-in-a-duplicate",
+            "infinite-masses-in-a-duplicate", "negative-cell-width", "non-decimal-key",
             "broken-json", "not-utf8", "unknown-kind", "not-an-object",
         ],
     )

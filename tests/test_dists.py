@@ -200,14 +200,17 @@ def _assert_matches_reference(dist, epsilon, delta_out):
 
 
 def _reference_canonical_key(value):
-    """The Decimal definition of canonical keys, as it stood before the text fast path."""
+    """The Decimal definition of canonical keys, as it stood before the text fast path.
+
+    A float, subclasses included, is read through ``float.__repr__``.
+    """
     try:
         if isinstance(value, str):
             dec = Decimal(value)
         elif isinstance(value, float):
             if not math.isfinite(value):
                 raise NonFiniteError(f"atom position is not finite: {value!r}")
-            dec = Decimal(repr(value))
+            dec = Decimal(float.__repr__(value))
         else:
             dec = Decimal(value)
     except InvalidOperation as exc:
@@ -304,6 +307,7 @@ class TestCanonicalKeys:
     @example("1e-1000049").via("a position that would round to 0")
     @example("0e-2000000").via("zero, with any exponent")
     @example("1\n2").via("two plain lines")
+    @example(np.float64(0.5)).via("a float subclass whose repr is not the float's")
     def test_matches_the_decimal_reference(self, value):
         assert _outcome(canonical_key, value) == _outcome(_reference_canonical_key, value)
 
@@ -318,9 +322,12 @@ class TestCanonicalKeys:
     @example([True, 2]).via("a bool")
     @example([_Float(0.5), 2]).via("a float subclass, whose str() is not the text")
     @example([10**4301, 2]).via("an int too long for str()")
+    @example([np.float64(-2.5), 2]).via("a float subclass whose repr is not the float's")
     @example([]).via("no keys")
     def test_bulk_keys_match_canonical_key_per_key(self, keys):
-        per_key = _outcome(lambda ks: [canonical_key(k) for k in ks], keys)
+        """The bulk pass is ``canonical_key`` itself, so each key is checked
+        against the Decimal reference, and the first error against its error."""
+        per_key = _outcome(lambda ks: [_reference_canonical_key(k) for k in ks], keys)
         assert _outcome(dists._canonical_keys, keys) == per_key
 
     def test_plain_keys_are_canonicalized_in_bulk(self, monkeypatch):
@@ -331,6 +338,23 @@ class TestCanonicalKeys:
         keys = ["-0.0", "12.500", "3", -4.25, 100.0, 7, "1" * 50, "-0.05"]
         expected = ["0", "12.5", "3", "-4.25", "100", "7", "1" * 50, "-0.05"]
         assert dists._canonical_keys(keys) == expected
+
+    def test_the_public_constructor_checks_plain_keys_in_bulk(self, monkeypatch):
+        def refuse(key):
+            raise AssertionError(f"{key!r} was checked on its own")
+
+        monkeypatch.setattr(dists, "canonical_key", refuse)
+        atoms = (("-4.25", 0.25), ("0", 0.25), ("3", 0.25), ("12.5", 0.25))
+        assert DiscreteDist(atoms).atoms == atoms
+        with pytest.raises(ValueError, match=r"^atom key is not canonical: '3\.0'$"):
+            DiscreteDist((("0", 0.5), ("3.0", 0.5)))
+
+    def test_a_float_subclass_is_read_as_a_float(self):
+        assert canonical_key(np.float64(0.5)) == "0.5"
+        keys = [0.1, -2.5, 1e20, 0.1, -0.0]
+        masses = [0.125, 0.25, 0.125, 0.25, 0.25]
+        built = DiscreteDist.from_pairs(zip(map(np.float64, keys), masses))
+        assert built == DiscreteDist.from_pairs(zip(keys, masses))
 
     def test_keys_outside_the_exponent_range_are_refused(self):
         for key in ("1e1000000", "-1e1000000", "1e-1000049", "1e-1000000"):
@@ -444,10 +468,21 @@ class TestKeysThatTieAsFloats:
 
 
 def _merge_path(pairs):
-    """``from_pairs`` without its fast path: every key goes through the merge dict."""
+    """``from_pairs`` without its fast path: every key goes through the merge dict.
+
+    Each mass is checked as given, after every key: a sum of duplicates
+    could hide a negative or infinite one.
+    """
+    keys = [canonical_key(raw_key) for raw_key, _ in pairs]
+    masses = [float(mass) for _, mass in pairs]
+    for mass in masses:
+        if not math.isfinite(mass):
+            raise NonFiniteError(f"mass must be finite, got {mass!r}")
+        if mass < 0.0:
+            raise ValueError(f"mass must be nonnegative, got {mass!r}")
     merged = {}
-    for raw_key, mass in pairs:
-        merged.setdefault(canonical_key(raw_key), []).append(float(mass))
+    for key, mass in zip(keys, masses):
+        merged.setdefault(key, []).append(mass)
     ordered = sorted(merged, key=Decimal)
     return DiscreteDist(tuple((key, math.fsum(merged[key])) for key in ordered))
 
