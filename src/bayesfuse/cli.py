@@ -33,17 +33,17 @@ the cyclic garbage collector off, and ``main`` restores its state on return.
 with another objective they are an argument error.
 
 Exit codes: 0 success (for ``verify``: the argmin is within ``n/K`` of the
-closed form), 1 verification failure, 2 unreadable or malformed input file
-or argument (including a forced ``smooth`` extent that misses the mass, a
-``smooth`` window or extent past the float range, and a family file whose
-grid has more than ``10**7`` cells), 3 incompatible or
-representation-mismatched pair (including, for ``posterior``, ``mlr`` and
-``verify``, a joint product that underflows to a subnormal number, for
-``posterior`` a grid posterior whose total, densities or cell masses do, and
-for ``mlr`` a ratio that overflows), 4 degenerate weighted product, 5
-enumeration budget exceeded (including a ``smooth`` output grid of more than
-``10**7`` cells), 6 smoothing resolution does not divide the window, 7
-candidate mass off the joint support, 8 numpy missing for ``verify`` or
+closed form), 1 verification failure, 2 unreadable or malformed input file or
+argument (including a forced ``smooth`` extent that misses the mass, a
+``smooth`` window, extent or output mass past the float range, and a family
+file whose grid has more than ``10**7`` cells), 3 incompatible or
+representation-mismatched pair (including an overlap past the float range, and,
+for ``posterior``, ``mlr`` and ``verify``, a joint product that underflows to a
+subnormal number, for ``posterior`` a grid posterior whose total, densities or
+cell masses do, and for ``mlr`` a ratio that overflows), 4 degenerate weighted
+product, 5 enumeration budget exceeded (including a ``smooth`` output grid of
+more than ``10**7`` cells), 6 smoothing resolution does not divide the window,
+7 candidate mass off the joint support, 8 numpy missing for ``verify`` or
 ``loss --exhaustive`` (install the ``oracles`` extra).
 """
 

@@ -33,7 +33,7 @@ from itertools import compress
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .dists import DiscreteDist, Distribution, GridDensity, _ascending, _unit_mass, _Value
+from .dists import DiscreteDist, Distribution, GridDensity, _ascending, _fsum, _unit_mass, _Value
 from .errors import (
     DegenerateProductError,
     IncompatibleError,
@@ -198,7 +198,7 @@ def _align(
         q = list(compress(candidate.densities, joint))
         strays = [i for i, m, j in zip(positions, candidate.densities, joint) if m > 0.0 and not j]
     u, v = list(compress(u, joint)), list(compress(v, joint))
-    overlap = scale * math.fsum(map(mul, u, v))
+    overlap = scale * _fsum(map(mul, u, v))
     return _Aligned(labels, scale, u, v, q, strays, overlap)
 
 
@@ -233,7 +233,7 @@ def _product(p0: Distribution, aligned: _Aligned, a: float, b: float) -> Distrib
     if a == b:
         aligned.require_compatible()
     values = aligned.products(a, b)
-    total = aligned.scale * math.fsum(values)
+    total = aligned.scale * _fsum(values)
     if not _compatible(total):
         raise DegenerateProductError(f"weighted product has total mass {total!r}")
     if isinstance(p0, DiscreteDist):

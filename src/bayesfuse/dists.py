@@ -42,6 +42,9 @@ GRID_MASS_TOL = 1e-6
 MAX_GRID_CELLS = 10**7
 
 _KEY_PRECISION = 50
+_KEY_EXPONENT = 400
+# A key's size is below 9.99...95e400 (50 nines), the least that rounds to 10**401.
+_KEY_CEILING = "9" * _KEY_PRECISION + f"5e{_KEY_EXPONENT - _KEY_PRECISION}"
 # Plain ASCII decimals, one a line: -?[0-9]+(\.[0-9]+)? with no leading zero
 # in the whole part.  [0-9], not \d: Decimal also reads non-ASCII digits,
 # and rewrites them.  A line never matches in two ways, so the repeat can be
@@ -60,7 +63,8 @@ def canonical_key(value: float | int | str | Decimal) -> str:
     at their shortest round-trip representation, so ``canonical_key(0.5)``
     and ``canonical_key("0.5")`` agree; a float subclass, such as
     ``numpy.float64``, is read as a float.  Positions are rounded to 50
-    significant digits.
+    significant digits.  A nonzero one's leading digit, as given and rounded, is
+    ``10**-400`` to ``10**400``: every finite float is a key, and none exceeds 452 characters.
     """
     return _canonical_keys([value])[0]
 
@@ -74,7 +78,7 @@ def _trimmed(plain: str) -> str:
 
 def _decimal_key(value: float | int | str | Decimal) -> str:
     """The reference definition of :func:`canonical_key`, through Decimal."""
-    from decimal import Decimal, InvalidOperation, Overflow, Subnormal, localcontext
+    from decimal import Context, Decimal, InvalidOperation
 
     try:
         dec = Decimal(float.__repr__(value) if isinstance(value, float) else value)
@@ -82,17 +86,9 @@ def _decimal_key(value: float | int | str | Decimal) -> str:
         raise ValueError(f"not a decimal atom key: {value!r}") from exc
     if not dec.is_finite():
         raise NonFiniteError(f"atom position is not finite: {value!r}")
-    with localcontext() as ctx:
-        ctx.prec = _KEY_PRECISION
-        # Overflow is trapped already; a subnormal position would lose
-        # digits, or round to 0 and merge with the atom 0.
-        ctx.traps[Subnormal] = True
-        try:
-            text = format(dec.normalize(), "f")
-        except (Overflow, Subnormal) as exc:
-            raise InvalidArgumentError(
-                f"atom key is outside the decimal exponent range: {value!r}"
-            ) from exc
+    if dec and not (dec.adjusted() >= -_KEY_EXPONENT and dec.copy_abs() < Decimal(_KEY_CEILING)):
+        raise InvalidArgumentError(f"atom key is outside the decimal exponent range: {value!r}")
+    text = format(Context(prec=_KEY_PRECISION).normalize(dec), "f")
     return "0" if text == "-0" else text
 
 
@@ -127,6 +123,14 @@ def _check_masses(masses: list[float] | tuple[float, ...]) -> None:
     if not masses:
         raise ValueError("a discrete distribution needs at least one atom")
     _check_finite_nonneg(masses, "mass")
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """``math.fsum`` of nonnegative ``values``; ``inf`` when the sum is past the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # "intermediate overflow in fsum"
+        return math.inf
 
 
 def _check_unit_sum(masses: list[float] | tuple[float, ...]) -> None:
@@ -681,7 +685,7 @@ def smooth_uniform(
     densities = [(b - a) / delta_out for a, b in zip(at_edges, at_edges[1:])]
     # `d > 0` also maps -0.0 and NaN to 0.0, as max(0.0, d) does.
     densities = [d if d > 0.0 else 0.0 for d in densities]
-    captured = delta_out * math.fsum(densities)
+    captured = delta_out * _fsum(densities)
     if abs(captured - 1.0) > GRID_MASS_TOL:
         raise InsufficientCoverageError(
             f"output grid captures {captured!r} of the smoothed mass,"

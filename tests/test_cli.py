@@ -606,6 +606,17 @@ class TestSmoothCommand:
         assert err == "error: output grid captures 0.0 of the smoothed mass, need 1 within 1e-06\n"
         assert not out_file.exists()
 
+    def test_cells_whose_sum_is_past_the_float_range_exit_two(self, capsys, files):
+        out_file = files["tmp"] / "x.json"
+        code, out, err = run(
+            capsys,
+            "smooth", files["pm0"], "--epsilon", "4e-309", "--delta", "4e-309",
+            "--out", str(out_file),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: output grid captures inf of the smoothed mass, need 1 within 1e-06\n"
+        assert not out_file.exists()
+
     @pytest.mark.parametrize(
         "payload, argv, code",
         [
@@ -758,6 +769,17 @@ class TestCompatCommand:
         code, out, err = run(capsys, "compat", bad, bad)
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: atom key is outside the decimal exponent range: {key!r}\n"
+
+    def test_keys_with_a_million_digits_write_nothing(self, capsys, files):
+        """Such keys were once read, and written back a million digits long."""
+        atoms = [[f"{i}e999998", 0.05] for i in range(20)]
+        big = files["write"]("big_keys.json", {"kind": "discrete", "atoms": atoms})
+        assert pathlib.Path(big).stat().st_size == 441
+        out_file = files["tmp"] / "o.json"
+        code, out, err = run(capsys, "posterior", big, big, "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == f"error: {big}: atom key is outside the decimal exponent range: '1e999998'\n"
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("key", ["NaN", "-Infinity"])
     def test_non_finite_key_exits_two(self, capsys, files, key):
@@ -958,3 +980,36 @@ class TestUnderflowingProducts:
         assert code == 0
         assert report_value(out, "witness") == "0"
         assert report_value(out, "attained") == "false"
+
+
+class TestOverlapPastTheFloatRange:
+    """A grid pair whose density products sum past the float range has an
+    infinite overlap: ``compat`` reports it incompatible, and every
+    subcommand that conflates it exits 3 with one line."""
+
+    @pytest.fixture()
+    def pair(self, files):
+        grid = {"kind": "grid", "origin": 0, "delta": 5e-155, "densities": [1e154, 1e154]}
+        return files["write"]("huge.json", grid)
+
+    def test_compat_reports_an_infinite_overlap(self, capsys, pair):
+        code, out, err = run(capsys, "compat", pair, pair)
+        assert (code, err) == (0, "")
+        assert report_value(out, "compatible") == "false"
+        assert report_value(out, "overlap_mass") == "inf"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["posterior", "p", "p"],
+            ["posterior", "p", "p", "--w0", "1", "--wL", "2"],
+            ["loss", "p", "p", "p"],
+            ["mlr", "p", "p", "p"],
+            ["verify", "p", "p"],
+        ],
+        ids=" ".join,
+    )
+    def test_conflating_it_exits_three(self, capsys, pair, argv):
+        code, out, err = run(capsys, *[pair if arg == "p" else arg for arg in argv])
+        assert (code, out) == (3, "")
+        assert err == "error: prior and likelihood are not compatible (overlap mass inf)\n"

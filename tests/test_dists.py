@@ -2,7 +2,7 @@
 
 import math
 import re
-from decimal import Decimal, InvalidOperation, Overflow, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 
 import numpy as np
 import pytest
@@ -217,13 +217,16 @@ def _reference_canonical_key(value):
         raise ValueError(f"not a decimal atom key: {value!r}") from exc
     if not dec.is_finite():
         raise NonFiniteError(f"atom position is not finite: {value!r}")
+    # A nonzero position needs its leading digit at 10**-400 or more as
+    # written, and at 10**400 or less once rounded to 50 digits.  The exact
+    # bound comes first, from the digits, so no rounding nears Decimal's limits.
+    _, digits, exponent = dec.as_tuple()
+    if any(digits) and not -400 <= exponent + len(digits) - 1 <= 400:
+        raise InvalidArgumentError(f"atom key is outside the decimal exponent range: {value!r}")
     with localcontext() as ctx:
         ctx.prec = 50
-        ctx.traps[Overflow] = False
         rounded = dec.normalize()
-    # A nonzero position whose leading digit, after rounding, is not between
-    # 10**-999999 and 10**999999 has no exact 50-digit key.
-    if dec and not (rounded.is_finite() and rounded and -999999 <= rounded.adjusted() <= 999999):
+    if rounded.adjusted() > 400:
         raise InvalidArgumentError(f"atom key is outside the decimal exponent range: {value!r}")
     text = format(rounded, "f")
     return "0" if text == "-0" else text
@@ -299,12 +302,16 @@ class TestCanonicalKeys:
     @given(_KEY_INPUTS)
     @example("-0").via("the one canonical text with a sign the pattern allows")
     @example(-(10**5000)).via("an int too long for str()")
-    @example("1e1000000").via("past the largest exponent")
-    @example("9" * 51 + "e999949").via("past the largest exponent once rounded")
-    @example("1e999999").via("the largest exponent")
-    @example("-1e-999999").via("the smallest exponent")
-    @example("1e-1000000").via("a subnormal position")
-    @example("1e-1000049").via("a position that would round to 0")
+    @example("1e400").via("the largest exponent")
+    @example("-1e-400").via("the smallest exponent")
+    @example("1e401").via("past the largest exponent")
+    @example("1e-401").via("past the smallest exponent")
+    @example("9" * 60 + "e340").via("rounds up to the largest exponent")
+    @example("9" * 50 + "49e349").via("the largest size that rounds below 10**401")
+    @example("9" * 50 + "5e350").via("past the largest exponent once rounded")
+    @example("9" * 60 + "e-460").via("rounds up to the smallest exponent, but is below it")
+    @example("1e1000000").via("past Decimal's own exponent range")
+    @example("1e-1000049").via("a position Decimal would round to 0")
     @example("0e-2000000").via("zero, with any exponent")
     @example("1\n2").via("two plain lines")
     @example(np.float64(0.5)).via("a float subclass whose repr is not the float's")
@@ -357,10 +364,46 @@ class TestCanonicalKeys:
         assert built == DiscreteDist.from_pairs(zip(keys, masses))
 
     def test_keys_outside_the_exponent_range_are_refused(self):
-        for key in ("1e1000000", "-1e1000000", "1e-1000049", "1e-1000000"):
+        for key in ("1e401", "-1e401", "1e-401", "9" * 50 + "5e350", "1e1000000", "1e-1000049"):
             with pytest.raises(InvalidArgumentError, match="outside the decimal exponent range"):
                 canonical_key(key)
-        assert canonical_key("1e-999999") == "0." + "0" * 999998 + "1"
+        assert canonical_key("1e400") == "1" + "0" * 400
+        assert canonical_key("-1e-400") == "-0." + "0" * 399 + "1"
+        assert canonical_key("9" * 60 + "e340") == "1" + "0" * 400
+        assert canonical_key("0e-2000000") == "0"
+        assert len(canonical_key("-" + "9" * 50 + "e-449")) == 452
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(5e-324).via("the least subnormal")
+    @example(1.7976931348623157e308).via("the largest float")
+    def test_every_finite_float_is_a_key(self, x):
+        key = canonical_key(x)
+        assert float(key) == x
+        assert canonical_key(key) == key
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.builds(
+            "{}{}e{}".format,
+            st.sampled_from(["", "-"]),
+            st.text(st.sampled_from("0123456789"), min_size=1, max_size=60),
+            st.integers(-470, 410),
+        )
+        | _KEY_INPUTS
+    )
+    @example("-" + "9" * 50 + "e-449").via("the longest key")
+    @example("9" * 50 + "49e349").via("the largest key")
+    @example("9" * 60 + "e341").via("rounds up to 10**401")
+    def test_an_accepted_key_is_short_and_canonical(self, value):
+        """A key has at most 452 characters, and is its own key, so a written
+        file can be read back."""
+        try:
+            key = canonical_key(value)
+        except (ValueError, NonFiniteError):
+            return
+        assert len(key) <= 452
+        assert canonical_key(key) == key
 
     @settings(deadline=None, max_examples=200)
     @given(_KEY_INPUTS)
@@ -443,7 +486,7 @@ _FLOAT_TIES = [
     ("-0.10000000000000000001", "-0.1"),
     ("1" + "0" * 400, "2" + "0" * 400),
     ("-2" + "0" * 400, "-1" + "0" * 400),
-    ("0." + "0" * 400 + "1", "0." + "0" * 400 + "2"),
+    ("0." + "0" * 399 + "1", "0." + "0" * 399 + "2"),
 ]
 
 
